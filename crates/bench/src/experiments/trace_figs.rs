@@ -31,7 +31,7 @@ use drone_serve::protocol::{
     ReplySlot,
 };
 use drone_serve::{Client, ClientConfig, Server, ServerConfig, Workload};
-use drone_telemetry::trace::Trace;
+use drone_telemetry::trace::{TagValue, Trace};
 use drone_telemetry::{derive_trace_id, id_hex, Clock, Json, Registry, TraceRing};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,9 +90,8 @@ fn over_deadline_query() -> Query {
 fn trace_facts(trace: &Trace) -> Json {
     let outcome = trace
         .root_tag("outcome")
-        .and_then(Json::as_str)
-        .unwrap_or("missing")
-        .to_owned();
+        .and_then(TagValue::as_str)
+        .unwrap_or("missing");
     Json::obj()
         .with("trace_id", id_hex(trace.trace_id))
         .with("spans", trace.span_count())
@@ -173,7 +172,7 @@ fn deterministic_campaign() -> (Json, String) {
         spans_total += trace.span_count() as u64;
         eval_size += trace.count_named("eval.size") as u64;
         eval_power += trace.count_named("eval.power") as u64;
-        match trace.root_tag("outcome").and_then(Json::as_str) {
+        match trace.root_tag("outcome").and_then(TagValue::as_str) {
             Some("ok") => ok += 1,
             Some("internal_error") => internal += 1,
             Some("deadline_exceeded") => shed += 1,

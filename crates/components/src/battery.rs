@@ -57,6 +57,18 @@ impl CellCount {
         }
     }
 
+    /// The `xS` label, e.g. `"3S"` (what `Display` prints).
+    pub fn label(self) -> &'static str {
+        match self {
+            CellCount::S1 => "1S",
+            CellCount::S2 => "2S",
+            CellCount::S3 => "3S",
+            CellCount::S4 => "4S",
+            CellCount::S5 => "5S",
+            CellCount::S6 => "6S",
+        }
+    }
+
     /// Nominal pack voltage (3.7 V × cells).
     pub fn nominal_voltage(self) -> Volts {
         Volts(CELL_NOMINAL_VOLTS * f64::from(self.cells()))
@@ -70,7 +82,7 @@ impl CellCount {
 
 impl fmt::Display for CellCount {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}S", self.cells())
+        f.write_str(self.label())
     }
 }
 
@@ -187,6 +199,9 @@ mod tests {
     #[test]
     fn display_convention() {
         assert_eq!(CellCount::S4.to_string(), "4S");
+        for cells in CellCount::ALL {
+            assert_eq!(cells.label(), format!("{}S", cells.cells()));
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use drone_explorer::{
     Constraints, Explorer, GridRange, Objective, OptimizeAnswer, OptimizeRequest, Query,
     QueryAnswer, QueryLimits, QueryRanges, ShardSpec, Strategy,
 };
+use drone_telemetry::json::{write_object, ObjectWriter};
 use drone_telemetry::trace::{
     derive_trace_id_bytes, id_hex, parse_id_hex, TraceBuilder, TraceRing,
 };
@@ -696,18 +697,23 @@ pub fn cost_units(answer: &QueryAnswer) -> u64 {
     answer.evaluated as u64
 }
 
-/// Renders an answer. Frontier members sort by (flight time desc,
-/// weight asc) so the reply bytes are stable however the feasible set
-/// was admitted.
-pub fn answer_to_json(answer: &QueryAnswer) -> Json {
-    let mut members: Vec<&DesignEval> = answer.frontier.iter().collect();
+/// Frontier members in reply order: flight time desc, weight asc, so
+/// the reply bytes are stable however the feasible set was admitted.
+/// The sort is stable: exact ties keep admission order.
+fn reply_order(frontier: &[DesignEval]) -> Vec<&DesignEval> {
+    let mut members: Vec<&DesignEval> = frontier.iter().collect();
     members.sort_by(|a, b| {
         b.flight_time_min
             .total_cmp(&a.flight_time_min)
             .then(a.weight_g.total_cmp(&b.weight_g))
     });
+    members
+}
+
+/// Renders an answer, frontier in [`reply_order`].
+pub fn answer_to_json(answer: &QueryAnswer) -> Json {
     let mut frontier = Json::arr();
-    for m in members {
+    for m in reply_order(&answer.frontier) {
         frontier.push(eval_to_json(m));
     }
     Json::obj()
@@ -724,7 +730,9 @@ pub fn answer_to_json(answer: &QueryAnswer) -> Json {
         .with("frontier", frontier)
 }
 
-/// A success reply line body.
+/// A success reply line body, as a [`Json`] tree. The batch handler
+/// streams the same bytes with [`encode_ok_reply`]; this builder is the
+/// reference that encoder is tested against.
 pub fn ok_reply(id: &Json, answer: &QueryAnswer) -> Json {
     Json::obj()
         .with("id", id.clone())
@@ -739,19 +747,12 @@ pub fn optimize_cost_units(answer: &OptimizeAnswer) -> u64 {
     answer.evaluated as u64
 }
 
-/// Renders an optimize answer. Frontier members sort by (flight time
-/// desc, weight asc) like [`answer_to_json`]; every number is
-/// scheduling-independent, so reply bytes are stable at any thread
-/// count.
+/// Renders an optimize answer, frontier in [`reply_order`] like
+/// [`answer_to_json`]; every number is scheduling-independent, so reply
+/// bytes are stable at any thread count.
 pub fn optimize_answer_to_json(answer: &OptimizeAnswer) -> Json {
-    let mut members: Vec<&DesignEval> = answer.frontier.iter().collect();
-    members.sort_by(|a, b| {
-        b.flight_time_min
-            .total_cmp(&a.flight_time_min)
-            .then(a.weight_g.total_cmp(&b.weight_g))
-    });
     let mut frontier = Json::arr();
-    for m in members {
+    for m in reply_order(&answer.frontier) {
         frontier.push(eval_to_json(m));
     }
     let mut pool_sizes = Json::arr();
@@ -779,12 +780,94 @@ pub fn optimize_answer_to_json(answer: &OptimizeAnswer) -> Json {
         .with("frontier", frontier)
 }
 
-/// A success reply line body for an optimize request.
+/// A success reply line body for an optimize request, as a [`Json`]
+/// tree: the reference for [`encode_ok_optimize_reply`].
 pub fn ok_optimize_reply(id: &Json, answer: &OptimizeAnswer) -> Json {
     Json::obj()
         .with("id", id.clone())
         .with("ok", true)
         .with("answer", optimize_answer_to_json(answer))
+}
+
+/// Reply bytes reserved per frontier member (plus two for the envelope
+/// and `best`) before encoding, so a reply grows its buffer at most
+/// once or twice.
+const REPLY_BYTES_PER_MEMBER: usize = 256;
+
+fn encode_eval(o: &mut ObjectWriter<'_>, eval: &DesignEval) {
+    o.num("wheelbase_mm", eval.query.wheelbase_mm)
+        .str("cells", eval.query.cells.label())
+        .num("capacity_mah", eval.query.capacity_mah)
+        .num("compute_w", eval.query.compute_power_w)
+        .num("twr", eval.query.twr)
+        .num("payload_g", eval.query.payload_g)
+        .num("weight_g", eval.weight_g)
+        .num("flight_min", eval.flight_time_min)
+        .num("hover_w", eval.hover_power_w)
+        .num("compute_share_hover", eval.compute_share_hover);
+}
+
+/// The `best` and `frontier` members both answer kinds end with.
+fn encode_best_and_frontier(
+    o: &mut ObjectWriter<'_>,
+    best: Option<&DesignEval>,
+    frontier: &[DesignEval],
+) {
+    match best {
+        Some(eval) => o.object("best", |o| encode_eval(o, eval)),
+        None => o.json("best", &Json::Null),
+    };
+    o.array("frontier", |a| {
+        for m in reply_order(frontier) {
+            a.object(|o| encode_eval(o, m));
+        }
+    });
+}
+
+/// Appends the success reply for a query answer to `out`: the bytes of
+/// `ok_reply(id, answer).render()`, streamed without building the tree.
+/// The batch handler encodes every `ok` query reply through here.
+pub fn encode_ok_reply(out: &mut String, id: &Json, answer: &QueryAnswer) {
+    out.reserve(REPLY_BYTES_PER_MEMBER * (answer.frontier.len() + 2));
+    write_object(out, |o| {
+        o.json("id", id).bool("ok", true).object("answer", |o| {
+            o.str("name", &answer.name)
+                .num("evaluated", answer.evaluated as f64)
+                .num("feasible", answer.feasible as f64)
+                .num("infeasible", answer.infeasible as f64)
+                .num("rounds", answer.rounds as f64)
+                .num("cost_units", cost_units(answer) as f64);
+            encode_best_and_frontier(o, answer.best.as_ref(), &answer.frontier);
+        });
+    });
+}
+
+/// Appends the success reply for an optimize answer to `out`: the
+/// bytes of `ok_optimize_reply(id, answer).render()`, streamed.
+pub fn encode_ok_optimize_reply(out: &mut String, id: &Json, answer: &OptimizeAnswer) {
+    out.reserve(REPLY_BYTES_PER_MEMBER * (answer.frontier.len() + 2));
+    write_object(out, |o| {
+        o.json("id", id).bool("ok", true).object("answer", |o| {
+            o.str("name", &answer.name)
+                .str("strategy", answer.strategy.as_str())
+                .num("sampled", answer.sampled as f64)
+                .num("evaluated", answer.evaluated as f64)
+                .num("coarse_evals", answer.coarse_evals as f64)
+                .num("prefiltered", answer.prefiltered as f64)
+                .num("feasible", answer.feasible as f64)
+                .num("infeasible", answer.infeasible as f64)
+                .num("rounds", answer.rounds as f64)
+                .num("refine_waves", answer.refine_waves as f64)
+                .array("pool_sizes", |a| {
+                    for &p in &answer.pool_sizes {
+                        a.num(p as f64);
+                    }
+                })
+                .num("budget", answer.budget as f64)
+                .num("cost_units", optimize_cost_units(answer) as f64);
+            encode_best_and_frontier(o, answer.best.as_ref(), &answer.frontier);
+        });
+    });
 }
 
 /// An error reply line body.
@@ -897,13 +980,20 @@ impl Work {
     }
 }
 
+/// What the handler keeps of a valid request once its body has become
+/// [`Work`]: the echoed id and the client-stamped trace id.
+struct Ticket {
+    id: Json,
+    trace_id: Option<u64>,
+}
+
 /// How one parsed line will be handled, decided before the engine runs.
 #[allow(clippy::large_enum_variant)] // at most max_batch of these live at once
 enum Disposition {
     /// Valid and within deadline: evaluated by the engine.
-    Run(Request, Work),
+    Run(Ticket, Work),
     /// Valid but over the cost deadline: shed with a typed reply.
-    Shed(Request, RequestError),
+    Shed(Ticket, RequestError),
     /// A live-introspection request for the server to resolve.
     Admin(Json, AdminRequest),
     /// Never reached the engine: parse/shape/limit failure. Carries
@@ -969,7 +1059,7 @@ pub fn handle_batch_traced(
 }
 
 /// Applies the cost-deadline policy to one piece of valid work.
-fn disposition_for(request: Request, work: Work, policy: BatchPolicy) -> Disposition {
+fn disposition_for(ticket: Ticket, work: Work, policy: BatchPolicy) -> Disposition {
     let estimated = work.estimated_cost_units();
     match policy.cost_deadline {
         Some(deadline) if estimated > deadline => {
@@ -979,9 +1069,9 @@ fn disposition_for(request: Request, work: Work, policy: BatchPolicy) -> Disposi
                     "estimated {estimated} cost units exceeds the {deadline}-unit deadline"
                 ),
             };
-            Disposition::Shed(request, error)
+            Disposition::Shed(ticket, error)
         }
-        _ => Disposition::Run(request, work),
+        _ => Disposition::Run(ticket, work),
     }
 }
 
@@ -995,19 +1085,23 @@ fn handle_batch_core(
     let dispositions: Vec<Disposition> = lines
         .iter()
         .map(|line| match parse_request_with_id(line, limits) {
-            Ok(request) => match request.body.clone() {
+            Ok(Request { id, trace_id, body }) => match body {
                 RequestBody::Stats if tracing.is_some() => {
-                    Disposition::Admin(request.id, AdminRequest::Stats)
+                    Disposition::Admin(id, AdminRequest::Stats)
                 }
                 RequestBody::Trace(fetch) if tracing.is_some() => {
-                    Disposition::Admin(request.id, AdminRequest::Trace(fetch))
+                    Disposition::Admin(id, AdminRequest::Trace(fetch))
                 }
                 RequestBody::Stats | RequestBody::Trace(_) => Disposition::Reject(
-                    request.id,
+                    id,
                     RequestError::bad("introspection requires a live server"),
                 ),
-                RequestBody::Query(query) => disposition_for(request, Work::Query(query), policy),
-                RequestBody::Optimize(req) => disposition_for(request, Work::Optimize(req), policy),
+                RequestBody::Query(query) => {
+                    disposition_for(Ticket { id, trace_id }, Work::Query(query), policy)
+                }
+                RequestBody::Optimize(req) => {
+                    disposition_for(Ticket { id, trace_id }, Work::Optimize(req), policy)
+                }
             },
             Err((id, error)) => Disposition::Reject(id, error),
         })
@@ -1017,13 +1111,13 @@ fn handle_batch_core(
     // client-stamped one when present, else derived deterministically
     // from the request id — identical at any thread count either way.
     let trace_request =
-        |request: &Request, record: &mut dyn FnMut(Option<&mut drone_telemetry::Span>)| {
+        |ticket: &Ticket, record: &mut dyn FnMut(Option<&mut drone_telemetry::Span>)| {
             let Some(tracing) = tracing else {
                 record(None);
                 return;
             };
-            let trace_id = request.trace_id.unwrap_or_else(|| {
-                derive_trace_id_bytes(tracing.seed, request.id.render().as_bytes())
+            let trace_id = ticket.trace_id.unwrap_or_else(|| {
+                derive_trace_id_bytes(tracing.seed, ticket.id.render().as_bytes())
             });
             let builder = TraceBuilder::new(trace_id, tracing.clock.clone());
             let mut root = builder.root("serve.request");
@@ -1035,24 +1129,26 @@ fn handle_batch_core(
     let slots = dispositions
         .into_iter()
         .map(|disposition| match disposition {
-            Disposition::Run(request, work) => {
-                let mut reply: Option<Json> = None;
-                trace_request(&request, &mut |mut root| {
-                    let result = match &work {
-                        Work::Query(query) => engine
-                            .try_run_spanned(query, root.as_deref())
-                            .map(|answer| (cost_units(&answer), ok_reply(&request.id, &answer))),
-                        Work::Optimize(req) => engine
-                            .try_optimize_spanned(req, root.as_deref())
-                            .map(|answer| {
-                                (
-                                    optimize_cost_units(&answer),
-                                    ok_optimize_reply(&request.id, &answer),
-                                )
-                            }),
-                    };
-                    reply = Some(match result {
-                        Ok((cost, ok)) => {
+            Disposition::Run(ticket, work) => {
+                let mut reply = String::new();
+                trace_request(&ticket, &mut |mut root| {
+                    let result =
+                        match &work {
+                            Work::Query(query) => engine
+                                .try_run_spanned(query, root.as_deref())
+                                .map(|answer| {
+                                    encode_ok_reply(&mut reply, &ticket.id, &answer);
+                                    cost_units(&answer)
+                                }),
+                            Work::Optimize(req) => engine
+                                .try_optimize_spanned(req, root.as_deref())
+                                .map(|answer| {
+                                    encode_ok_optimize_reply(&mut reply, &ticket.id, &answer);
+                                    optimize_cost_units(&answer)
+                                }),
+                        };
+                    match result {
+                        Ok(cost) => {
                             outcome.answered += 1;
                             outcome.cost_units += cost;
                             if let Work::Optimize(req) = &work {
@@ -1065,7 +1161,6 @@ fn handle_batch_core(
                                 root.tag("outcome", "ok");
                                 root.tag("cost_units", cost);
                             }
-                            ok
                         }
                         Err(panic) => {
                             outcome.internal_errors += 1;
@@ -1076,20 +1171,20 @@ fn handle_batch_core(
                                 kind: ErrorKind::Internal,
                                 message: panic.to_string(),
                             };
-                            error_reply(&request.id, &error)
+                            error_reply(&ticket.id, &error).render_into(&mut reply);
                         }
-                    });
+                    }
                 });
-                ReplySlot::Line(reply.expect("record ran").render())
+                ReplySlot::Line(reply)
             }
-            Disposition::Shed(request, error) => {
+            Disposition::Shed(ticket, error) => {
                 outcome.deadline_sheds += 1;
-                trace_request(&request, &mut |root| {
+                trace_request(&ticket, &mut |root| {
                     if let Some(root) = root {
                         root.tag("outcome", "deadline_exceeded");
                     }
                 });
-                ReplySlot::Line(error_reply(&request.id, &error).render())
+                ReplySlot::Line(error_reply(&ticket.id, &error).render())
             }
             Disposition::Admin(id, request) => {
                 outcome.admin_requests += 1;
@@ -1252,7 +1347,7 @@ mod tests {
 
     #[test]
     fn traced_batches_push_span_trees_and_surface_admin_slots() {
-        use drone_telemetry::{derive_trace_id, id_hex, TraceRing};
+        use drone_telemetry::{derive_trace_id, id_hex, TagValue, TraceRing};
         let ring = TraceRing::new(8);
         let tracing = BatchTracing {
             ring: &ring,
@@ -1298,12 +1393,15 @@ mod tests {
         assert_eq!(trace.count_named("explore.round"), 1);
         assert_eq!(trace.count_named("point"), 15);
         assert_eq!(trace.open_at_finish, 0);
-        assert_eq!(trace.root_tag("outcome").and_then(Json::as_str), Some("ok"));
+        assert_eq!(
+            trace.root_tag("outcome").and_then(TagValue::as_str),
+            Some("ok")
+        );
     }
 
     #[test]
     fn traced_sheds_record_single_span_traces() {
-        use drone_telemetry::TraceRing;
+        use drone_telemetry::{TagValue, TraceRing};
         let ring = TraceRing::new(8);
         let tracing = BatchTracing {
             ring: &ring,
@@ -1327,7 +1425,7 @@ mod tests {
         let trace = &ring.last(1)[0];
         assert_eq!(trace.span_count(), 1, "shed before evaluation: root only");
         assert_eq!(
-            trace.root_tag("outcome").and_then(Json::as_str),
+            trace.root_tag("outcome").and_then(TagValue::as_str),
             Some("deadline_exceeded")
         );
     }

@@ -7,8 +7,14 @@
 //! recursive-descent parser so round-trips can be tested and CI can
 //! validate emitted artifacts. Insertion order is preserved in objects,
 //! which is what gives `BENCH_*.json` files their stable key order.
+//!
+//! Hot paths that would otherwise build a tree only to render it once
+//! stream instead: [`write_object`] appends the same compact bytes
+//! [`Json::render`] would produce, field by field, straight into a
+//! `String`. [`write_number`] and [`write_string`] are the only number
+//! and string formatting either path uses, so the two cannot drift.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,8 +125,13 @@ impl Json {
     /// Compact single-line rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.render_into(&mut out);
         out
+    }
+
+    /// Appends the compact rendering to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation (the `BENCH_*.json`
@@ -186,6 +197,7 @@ impl Json {
     /// a [`ParseError`] instead.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -207,31 +219,141 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Rust's `f64` Display is the shortest decimal that round-trips, which
-/// is exactly what a stable artifact format wants. JSON has no spelling
-/// for non-finite numbers, so those degrade to `null`.
-fn write_number(out: &mut String, n: f64) {
+/// Appends a number. Rust's `f64` Display is the shortest decimal that
+/// round-trips, which is exactly what a stable artifact format wants.
+/// JSON has no spelling for non-finite numbers, so those degrade to
+/// `null`.
+pub fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
-        out.push_str(&format!("{n}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
     } else {
         out.push_str("null");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends a quoted, escaped string. Runs of characters that need no
+/// escape are copied as one slice; every escaped character is ASCII, so
+/// the run boundaries are always character boundaries.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Streams one compact JSON object into `out`: `fields` adds the
+/// members in order, and the bytes equal [`Json::render`] of the
+/// equivalent [`Json::Obj`] (keys are written as given, so a caller
+/// must not repeat one — [`Json::insert`] would have replaced it).
+pub fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    fields(&mut ObjectWriter { out, first: true });
+    out.push('}');
+}
+
+/// The member sink [`write_object`] hands out.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjectWriter<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A number member (`null` when non-finite).
+    pub fn num(&mut self, key: &str, n: f64) -> &mut Self {
+        write_number(self.key(key), n);
+        self
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, s: &str) -> &mut Self {
+        write_string(self.key(key), s);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, b: bool) -> &mut Self {
+        self.key(key).push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// A member holding an already-built document.
+    pub fn json(&mut self, key: &str, value: &Json) -> &mut Self {
+        value.render_into(self.key(key));
+        self
+    }
+
+    /// A nested object member.
+    pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.key(key), fields);
+        self
+    }
+
+    /// An array member whose items `items` appends.
+    pub fn array(&mut self, key: &str, items: impl FnOnce(&mut ArrayWriter<'_>)) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        items(&mut ArrayWriter { out, first: true });
+        out.push(']');
+        self
+    }
+}
+
+/// The item sink [`ObjectWriter::array`] hands out.
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ArrayWriter<'_> {
+    fn item(&mut self) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out
+    }
+
+    /// A number item (`null` when non-finite).
+    pub fn num(&mut self, n: f64) -> &mut Self {
+        write_number(self.item(), n);
+        self
+    }
+
+    /// An object item.
+    pub fn object(&mut self, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.item(), fields);
+        self
+    }
 }
 
 /// Where and why parsing failed.
@@ -261,6 +383,7 @@ impl std::error::Error for ParseError {}
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -420,18 +543,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 character. `peek` only proves a
-                    // byte is present; the decode can still fail on hostile
-                    // input, so both steps return typed errors rather than
-                    // panicking.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("empty UTF-8 run in string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash in one slice. Both are ASCII, so the run
+                    // ends on a character boundary of the (already
+                    // valid UTF-8) input; scanning it once keeps string
+                    // parsing linear in its length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -585,6 +706,109 @@ mod tests {
         assert!(Json::parse(&siblings).is_ok());
         let too_deep = format!("{}1{}", "[".repeat(129), "]".repeat(129));
         assert!(Json::parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_length() {
+        // Plain runs, non-ASCII text and escapes, like a hostile line.
+        let doc = |bytes: usize| {
+            let mut body = String::with_capacity(bytes + 16);
+            while body.len() < bytes {
+                body.push_str("plain text é \\n\\\"");
+            }
+            format!("\"{body}\"")
+        };
+        let fastest = |text: &str| {
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let parsed = Json::parse(text).unwrap();
+                    let elapsed = started.elapsed();
+                    assert!(parsed.as_str().is_some());
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        };
+        let small = fastest(&doc(8 * 1024));
+        let large = fastest(&doc(64 * 1024));
+        // 8x the bytes: about 8x the time when linear, 64x when
+        // quadratic.
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "64 KiB took {ratio:.1}x the 8 KiB parse");
+    }
+
+    #[test]
+    fn string_escapes_match_a_per_character_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let mut every_control: String = (0u8..0x20).map(char::from).collect();
+        every_control.push('\u{7f}');
+        for s in [
+            "",
+            "plain",
+            "\"quoted\" \\ back\\slash",
+            "café → ✈ 🚁",
+            "\u{0}lead and trail\u{1f}",
+            every_control.as_str(),
+        ] {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            assert_eq!(out, reference(s), "{s:?}");
+            assert_eq!(Json::parse(&out).unwrap().as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn streamed_objects_render_like_the_tree() {
+        let id = Json::obj().with("k", vec![Json::Null, Json::Bool(true)]);
+        let tree = Json::obj()
+            .with("id", id.clone())
+            .with("ok", true)
+            .with("name", "a \"b\"\n")
+            .with("n", 0.1)
+            .with("nan", f64::NAN)
+            .with("empty", Json::obj())
+            .with("none", Json::arr())
+            .with(
+                "items",
+                vec![
+                    Json::Num(1.0),
+                    Json::obj().with("x", -2.5e-7),
+                    Json::Num(3.0),
+                ],
+            );
+        let mut out = String::from("prefix:");
+        write_object(&mut out, |o| {
+            o.json("id", &id)
+                .bool("ok", true)
+                .str("name", "a \"b\"\n")
+                .num("n", 0.1)
+                .num("nan", f64::NAN)
+                .object("empty", |_| {})
+                .array("none", |_| {})
+                .array("items", |a| {
+                    a.num(1.0).object(|o| {
+                        o.num("x", -2.5e-7);
+                    });
+                    a.num(3.0);
+                });
+        });
+        assert_eq!(out, format!("prefix:{}", tree.render()));
     }
 
     #[test]

@@ -65,6 +65,6 @@ pub use metrics::{Counter, Gauge, Histogram, SharedHistogram};
 pub use recorder::{ChannelId, DumpReason, FlightRecorder};
 pub use registry::{global, Registry, SpanGuard};
 pub use trace::{
-    derive_trace_id, derive_trace_id_bytes, id_hex, parse_id_hex, Span, SpanRecord, Trace,
-    TraceBuilder, TraceRing,
+    derive_trace_id, derive_trace_id_bytes, id_hex, parse_id_hex, Span, SpanRecord, TagValue, Tags,
+    Trace, TraceBuilder, TraceRing,
 };

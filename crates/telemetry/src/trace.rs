@@ -24,6 +24,12 @@
 //! order, and tags. What is not: wall-clock `start_s`/`end_s` and the
 //! worker index a task landed on. [`Trace::deterministic_json`] renders
 //! only the former; [`Trace::to_json`] includes everything.
+//!
+//! Recording is always on, so it must be cheap: span names and tag keys
+//! are `&'static str`, tag values are the `Copy` [`TagValue`], and up to
+//! [`INLINE_TAGS`] tags live inline in the span. Opening and closing a
+//! span allocates nothing of its own; the conversion to [`Json`]
+//! happens only when a trace is rendered.
 
 use crate::clock::Clock;
 use crate::json::Json;
@@ -85,6 +91,96 @@ fn derive_span_id(trace_id: u64, parent_id: u64, name: &str, order: u64) -> u64 
     }
 }
 
+/// A tag value: what [`Span::tag`] stores. `Copy` and allocation-free;
+/// renders as the matching [`Json`] scalar.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TagValue {
+    /// A static label (cache outcome, request outcome, strategy, …).
+    Str(&'static str),
+    /// A number (counts, cost units, round numbers).
+    Num(f64),
+    /// A flag (feasibility, coarse fidelity).
+    Bool(bool),
+}
+
+impl TagValue {
+    /// The label, if this is a string tag.
+    pub fn as_str(self) -> Option<&'static str> {
+        match self {
+            TagValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn to_json(self) -> Json {
+        match self {
+            TagValue::Str(s) => Json::from(s),
+            TagValue::Num(n) => Json::Num(n),
+            TagValue::Bool(b) => Json::Bool(b),
+        }
+    }
+}
+
+impl From<&'static str> for TagValue {
+    fn from(s: &'static str) -> TagValue {
+        TagValue::Str(s)
+    }
+}
+
+impl From<u64> for TagValue {
+    /// Lossy above 2⁵³, like [`Json::from`].
+    fn from(n: u64) -> TagValue {
+        TagValue::Num(n as f64)
+    }
+}
+
+impl From<usize> for TagValue {
+    fn from(n: usize) -> TagValue {
+        TagValue::Num(n as f64)
+    }
+}
+
+impl From<bool> for TagValue {
+    fn from(b: bool) -> TagValue {
+        TagValue::Bool(b)
+    }
+}
+
+/// Tags a span holds inline before spilling to the heap — the most any
+/// call site sets today (an optimize request's root: `strategy`,
+/// `outcome`, `cost_units`).
+pub const INLINE_TAGS: usize = 3;
+
+/// A span's tags in insertion order: the first [`INLINE_TAGS`] inline,
+/// any beyond that in a heap spill (kept, never dropped). Slots fill in
+/// order, so equal tag lists are equal representations.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tags {
+    inline: [Option<(&'static str, TagValue)>; INLINE_TAGS],
+    spill: Vec<(&'static str, TagValue)>,
+}
+
+impl Tags {
+    fn push(&mut self, key: &'static str, value: TagValue) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((key, value)),
+            None => self.spill.push((key, value)),
+        }
+    }
+
+    /// The tags in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, TagValue)> + '_ {
+        self.inline
+            .iter()
+            .map_while(|slot| *slot)
+            .chain(self.spill.iter().copied())
+    }
+
+    fn get(&self, key: &str) -> Option<TagValue> {
+        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
 /// A 64-bit id rendered the way it crosses the wire: 16 lower-case hex
 /// characters. `Json::Num` is an `f64` and silently loses integer
 /// precision above 2^53, so ids are *always* strings in JSON.
@@ -117,10 +213,10 @@ pub struct SpanRecord {
     /// children of one parent.
     pub order: u64,
     /// Stage name, e.g. `serve.request`, `explore.round`, `eval.power`.
-    pub name: String,
+    pub name: &'static str,
     /// Deterministic annotations in insertion order (cache outcome,
     /// feasibility, cost units, …).
-    pub tags: Vec<(String, Json)>,
+    pub tags: Tags,
     /// Work-stealing worker the span ran on. Scheduling-dependent:
     /// excluded from the deterministic rendering.
     pub worker: Option<usize>,
@@ -193,7 +289,7 @@ impl TraceBuilder {
     }
 
     /// Opens the root span (parent 0, order 0).
-    pub fn root(&self, name: &str) -> Span {
+    pub fn root(&self, name: &'static str) -> Span {
         Span::open(Arc::clone(&self.core), 0, name, 0)
     }
 
@@ -229,14 +325,14 @@ pub struct Span {
     span_id: u64,
     parent_id: u64,
     order: u64,
-    name: String,
-    tags: Vec<(String, Json)>,
+    name: &'static str,
+    tags: Tags,
     worker: Option<usize>,
     start_s: f64,
 }
 
 impl Span {
-    fn open(core: Arc<TraceCore>, parent_id: u64, name: &str, order: u64) -> Span {
+    fn open(core: Arc<TraceCore>, parent_id: u64, name: &'static str, order: u64) -> Span {
         let span_id = derive_span_id(core.trace_id, parent_id, name, order);
         let start_s = core.clock.now();
         core.open.fetch_add(1, Ordering::AcqRel);
@@ -245,8 +341,8 @@ impl Span {
             span_id,
             parent_id,
             order,
-            name: name.to_owned(),
-            tags: Vec::new(),
+            name,
+            tags: Tags::default(),
             worker: None,
             start_s,
         }
@@ -266,14 +362,14 @@ impl Span {
     /// under this parent (round number, point index, …) and is part of
     /// its id — two children of one parent must not share
     /// `(name, order)`.
-    pub fn child(&self, name: &str, order: u64) -> Span {
+    pub fn child(&self, name: &'static str, order: u64) -> Span {
         Span::open(Arc::clone(&self.core), self.span_id, name, order)
     }
 
     /// Attaches a deterministic annotation. Insertion order is
     /// preserved in the rendering, so tag in a deterministic order.
-    pub fn tag(&mut self, key: &str, value: impl Into<Json>) {
-        self.tags.push((key.to_owned(), value.into()));
+    pub fn tag(&mut self, key: &'static str, value: impl Into<TagValue>) {
+        self.tags.push(key, value.into());
     }
 
     /// Notes which executor worker ran this span. Scheduling-dependent:
@@ -289,7 +385,7 @@ impl Drop for Span {
             span_id: self.span_id,
             parent_id: self.parent_id,
             order: self.order,
-            name: std::mem::take(&mut self.name),
+            name: self.name,
             tags: std::mem::take(&mut self.tags),
             worker: self.worker,
             start_s: self.start_s,
@@ -324,23 +420,24 @@ impl Trace {
 
     /// Depth of the rendered tree (root = 1; empty trace = 0).
     pub fn depth(&self) -> usize {
-        fn node_depth(trace: &Trace, span_id: u64) -> usize {
-            1 + trace
-                .spans
+        fn node_depth(index: &TreeIndex<'_>, span_id: u64) -> usize {
+            1 + index
+                .children(span_id)
                 .iter()
-                .filter(|s| s.parent_id == span_id)
-                .map(|s| node_depth(trace, s.span_id))
+                .map(|s| node_depth(index, s.span_id))
                 .max()
                 .unwrap_or(0)
         }
-        self.roots()
-            .into_iter()
-            .map(|root| node_depth(self, root.span_id))
+        let index = TreeIndex::new(&self.spans);
+        index
+            .roots
+            .iter()
+            .map(|root| node_depth(&index, root.span_id))
             .max()
             .unwrap_or(0)
     }
 
-    /// Spans tagged `key == value` (string compare on rendered tags).
+    /// Spans tagged `key == value` (string tags only).
     pub fn count_tagged(&self, key: &str, value: &str) -> usize {
         self.spans
             .iter()
@@ -357,34 +454,23 @@ impl Trace {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// The first tag value on the root span with this key, rendered as
-    /// a string when it is one.
-    pub fn root_tag<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        self.roots()
-            .first()
-            .and_then(|root| root.tags.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+    /// The first tag value on the root span with this key.
+    pub fn root_tag(&self, key: &str) -> Option<TagValue> {
+        self.roots().first().and_then(|root| root.tags.get(key))
     }
 
     fn roots(&self) -> Vec<&SpanRecord> {
-        // Roots proper, plus orphans whose parent was dropped over
-        // capacity — rendered at top level rather than lost.
-        let mut roots: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| s.parent_id == 0 || !self.spans.iter().any(|p| p.span_id == s.parent_id))
-            .collect();
-        roots.sort_by_key(|s| (s.order, s.span_id));
-        roots
+        TreeIndex::new(&self.spans).roots
     }
 
-    fn node_json(&self, span: &SpanRecord, scheduling: bool) -> Json {
+    fn node_json(index: &TreeIndex<'_>, span: &SpanRecord, scheduling: bool) -> Json {
         let mut tags = Json::obj();
-        for (key, value) in &span.tags {
-            tags.insert(key, value.clone());
+        for (key, value) in span.tags.iter() {
+            tags.insert(key, value.to_json());
         }
         let mut node = Json::obj()
             .with("span", id_hex(span.span_id))
-            .with("name", span.name.as_str())
+            .with("name", span.name)
             .with("order", span.order)
             .with("tags", tags);
         if scheduling {
@@ -395,24 +481,19 @@ impl Trace {
             node.insert("end_s", span.end_s);
             node.insert("elapsed_s", span.end_s - span.start_s);
         }
-        let mut children: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| s.parent_id == span.span_id)
-            .collect();
-        children.sort_by_key(|s| (s.order, s.span_id));
         let mut arr = Json::arr();
-        for child in children {
-            arr.push(self.node_json(child, scheduling));
+        for child in index.children(span.span_id) {
+            arr.push(Trace::node_json(index, child, scheduling));
         }
         node.insert("children", arr);
         node
     }
 
     fn tree_json(&self, scheduling: bool) -> Json {
+        let index = TreeIndex::new(&self.spans);
         let mut roots = Json::arr();
-        for root in self.roots() {
-            roots.push(self.node_json(root, scheduling));
+        for root in &index.roots {
+            roots.push(Trace::node_json(&index, root, scheduling));
         }
         Json::obj()
             .with("trace_id", id_hex(self.trace_id))
@@ -433,6 +514,41 @@ impl Trace {
     /// across thread counts; what `BENCH_trace.json` embeds.
     pub fn deterministic_json(&self) -> Json {
         self.tree_json(false)
+    }
+}
+
+/// A span table indexed for tree walks. One stable sort by
+/// `(parent_id, order, span_id)` puts every node's children in one
+/// contiguous run, already in render order, so a walk costs
+/// O(n log n) instead of a rescan of the table per node.
+struct TreeIndex<'a> {
+    by_parent: Vec<&'a SpanRecord>,
+    /// Roots proper, plus orphans whose parent was dropped over
+    /// capacity — rendered at top level rather than lost. Sorted by
+    /// `(order, span_id)`.
+    roots: Vec<&'a SpanRecord>,
+}
+
+impl<'a> TreeIndex<'a> {
+    fn new(spans: &'a [SpanRecord]) -> TreeIndex<'a> {
+        let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+        ids.sort_unstable();
+        // Both sorts are stable: exact key ties keep table order.
+        let mut roots: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.parent_id == 0 || ids.binary_search(&s.parent_id).is_err())
+            .collect();
+        roots.sort_by_key(|s| (s.order, s.span_id));
+        let mut by_parent: Vec<&SpanRecord> = spans.iter().collect();
+        by_parent.sort_by_key(|s| (s.parent_id, s.order, s.span_id));
+        TreeIndex { by_parent, roots }
+    }
+
+    /// The children of `span_id`, in render order.
+    fn children(&self, span_id: u64) -> &[&'a SpanRecord] {
+        let start = self.by_parent.partition_point(|s| s.parent_id < span_id);
+        let len = self.by_parent[start..].partition_point(|s| s.parent_id == span_id);
+        &self.by_parent[start..start + len]
     }
 }
 
@@ -673,6 +789,240 @@ mod tests {
         for line in dump.lines() {
             assert!(Json::parse(line).is_ok());
         }
+    }
+
+    #[test]
+    fn tags_past_the_inline_slots_spill_instead_of_dropping() {
+        let builder = sim_builder(3);
+        {
+            let mut root = builder.root("serve.request");
+            root.tag("strategy", "sobol");
+            root.tag("outcome", "ok");
+            root.tag("cost_units", 12u64);
+            root.tag("coarse", false);
+            root.tag("points", 4usize);
+            root.tag("outcome", "shadowed");
+        }
+        let trace = builder.finish();
+        let keys: Vec<&str> = trace.spans[0].tags.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "strategy",
+                "outcome",
+                "cost_units",
+                "coarse",
+                "points",
+                "outcome"
+            ]
+        );
+        // The first value wins a lookup; the rendering keeps the key's
+        // first position with its last value, as `Json::insert` does.
+        assert_eq!(trace.root_tag("outcome"), Some(TagValue::Str("ok")));
+        assert_eq!(trace.root_tag("points"), Some(TagValue::Num(4.0)));
+        assert_eq!(
+            trace
+                .deterministic_json()
+                .get("tree")
+                .unwrap()
+                .as_arr()
+                .unwrap()[0]
+                .get("tags")
+                .unwrap()
+                .render(),
+            r#"{"strategy":"sobol","outcome":"shadowed","cost_units":12,"coarse":false,"points":4}"#
+        );
+    }
+
+    /// The tree renderer before [`TreeIndex`]: a table rescan per node
+    /// and per orphan check. Kept as the byte-for-byte reference.
+    fn naive_tree_json(trace: &Trace, scheduling: bool) -> Json {
+        fn roots(trace: &Trace) -> Vec<&SpanRecord> {
+            let mut roots: Vec<&SpanRecord> = trace
+                .spans
+                .iter()
+                .filter(|s| {
+                    s.parent_id == 0 || !trace.spans.iter().any(|p| p.span_id == s.parent_id)
+                })
+                .collect();
+            roots.sort_by_key(|s| (s.order, s.span_id));
+            roots
+        }
+        fn node_json(trace: &Trace, span: &SpanRecord, scheduling: bool) -> Json {
+            let mut tags = Json::obj();
+            for (key, value) in span.tags.iter() {
+                tags.insert(key, value.to_json());
+            }
+            let mut node = Json::obj()
+                .with("span", id_hex(span.span_id))
+                .with("name", span.name)
+                .with("order", span.order)
+                .with("tags", tags);
+            if scheduling {
+                if let Some(worker) = span.worker {
+                    node.insert("worker", worker);
+                }
+                node.insert("start_s", span.start_s);
+                node.insert("end_s", span.end_s);
+                node.insert("elapsed_s", span.end_s - span.start_s);
+            }
+            let mut children: Vec<&SpanRecord> = trace
+                .spans
+                .iter()
+                .filter(|s| s.parent_id == span.span_id)
+                .collect();
+            children.sort_by_key(|s| (s.order, s.span_id));
+            let mut arr = Json::arr();
+            for child in children {
+                arr.push(node_json(trace, child, scheduling));
+            }
+            node.insert("children", arr);
+            node
+        }
+        let mut tree = Json::arr();
+        for root in roots(trace) {
+            tree.push(node_json(trace, root, scheduling));
+        }
+        Json::obj()
+            .with("trace_id", id_hex(trace.trace_id))
+            .with("spans", trace.span_count())
+            .with("dropped_spans", trace.dropped_spans)
+            .with("open_at_finish", trace.open_at_finish)
+            .with("tree", tree)
+    }
+
+    fn naive_depth(trace: &Trace) -> usize {
+        fn node_depth(trace: &Trace, span_id: u64) -> usize {
+            1 + trace
+                .spans
+                .iter()
+                .filter(|s| s.parent_id == span_id)
+                .map(|s| node_depth(trace, s.span_id))
+                .max()
+                .unwrap_or(0)
+        }
+        let doc = naive_tree_json(trace, false);
+        doc.get("tree")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|root| {
+                let id = parse_id_hex(root.get("span").unwrap().as_str().unwrap()).unwrap();
+                node_depth(trace, id)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A seeded random span tree. Sibling orders come from a small
+    /// range, so siblings tie on `order` (and, sharing a name too, on
+    /// span id); a small `capacity` drops parents, which close after
+    /// their children, leaving orphans.
+    fn random_trace(seed: u64, capacity: usize) -> Trace {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        const NAMES: [&str; 3] = ["point", "eval.size", "eval.power"];
+        let builder = TraceBuilder::with_capacity(seed, Clock::sim(), capacity);
+        {
+            let mut root = builder.root("serve.request");
+            root.tag("outcome", "ok");
+            for round in 0..1 + next(3) {
+                let mut round_span = root.child("explore.round", round);
+                round_span.tag("round", round);
+                for _ in 0..next(10) {
+                    let mut point = round_span.child(NAMES[next(3) as usize], next(4));
+                    point.set_worker(next(2) as usize);
+                    point.tag("cache", if next(2) == 0 { "hit" } else { "miss" });
+                    if next(2) == 0 {
+                        let mut leaf = point.child(NAMES[next(3) as usize], next(2));
+                        leaf.tag("feasible", next(2) == 0);
+                    }
+                }
+            }
+        }
+        builder.finish()
+    }
+
+    #[test]
+    fn indexed_rendering_matches_the_naive_renderer_byte_for_byte() {
+        let mut orphans = 0;
+        let mut ties = 0;
+        for seed in 1..300u64 {
+            for capacity in [MAX_SPANS_PER_TRACE, 3, 7, 16] {
+                let trace = random_trace(seed, capacity);
+                for scheduling in [false, true] {
+                    assert_eq!(
+                        trace.tree_json(scheduling).render(),
+                        naive_tree_json(&trace, scheduling).render(),
+                        "seed {seed}, capacity {capacity}"
+                    );
+                }
+                assert_eq!(trace.depth(), naive_depth(&trace), "seed {seed}");
+                orphans += trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.parent_id != 0)
+                    .filter(|s| !trace.spans.iter().any(|p| p.span_id == s.parent_id))
+                    .count();
+                ties += trace
+                    .spans
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, s)| {
+                        trace.spans[i + 1..]
+                            .iter()
+                            .any(|o| o.parent_id == s.parent_id && o.order == s.order)
+                    })
+                    .count();
+            }
+        }
+        assert!(orphans > 100, "the cases must exercise orphans ({orphans})");
+        assert!(ties > 100, "the cases must exercise order ties ({ties})");
+    }
+
+    #[test]
+    fn exact_key_ties_keep_table_order_like_the_naive_renderer() {
+        // Hand-built table: two children share (parent, order, span id)
+        // but differ in tags, and one span's parent is absent.
+        let record = |span_id, parent_id, order, tag: &'static str| {
+            let mut tags = Tags::default();
+            tags.push("k", TagValue::Str(tag));
+            SpanRecord {
+                span_id,
+                parent_id,
+                order,
+                name: "s",
+                tags,
+                worker: None,
+                start_s: 0.0,
+                end_s: 0.0,
+            }
+        };
+        let trace = Trace {
+            trace_id: 1,
+            spans: vec![
+                record(9, 1, 0, "second-root-child"),
+                record(1, 0, 0, "root"),
+                record(5, 1, 0, "tie-a"),
+                record(5, 1, 0, "tie-b"),
+                record(7, 42, 0, "orphan"),
+                record(3, 5, 1, "grandchild"),
+            ],
+            dropped_spans: 1,
+            open_at_finish: 0,
+        };
+        for scheduling in [false, true] {
+            assert_eq!(
+                trace.tree_json(scheduling).render(),
+                naive_tree_json(&trace, scheduling).render()
+            );
+        }
+        assert_eq!(trace.depth(), naive_depth(&trace));
     }
 
     #[test]
