@@ -1,13 +1,14 @@
 //! The `serve` experiment: the batched DSE query server under a
 //! deterministic multi-client workload, plus a staged overload drill.
 //!
-//! Two phases against one live loopback server:
+//! Two phases against one live loopback [`ReactorServer`]:
 //!
-//! 1. **Overload drill** — workers paused, connections opened until
-//!    the bounded queue fills; the surplus must be shed with a
-//!    structured `overloaded` reply, then the admitted backlog drains
-//!    once workers resume. Accept order is FIFO, so the shed count is
-//!    exact, not statistical.
+//! 1. **Overload drill** — silent connections opened until every
+//!    reactor sits at its connection ceiling; the surplus must be shed
+//!    with a structured `overloaded` reply, then the held connections
+//!    send their requests and are answered. Accept order is FIFO and
+//!    the acceptor deals round-robin, so the shed count is exact, not
+//!    statistical.
 //! 2. **Throughput run** — N client threads each pipeline a seeded
 //!    [`Workload`] stream and read back one reply per request.
 //!
@@ -23,15 +24,20 @@
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_explorer::Explorer;
-use drone_serve::{Server, ServerConfig, Workload};
+use drone_serve::{ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 7;
 const CLIENTS: u64 = 3;
 const REQUESTS_PER_CLIENT: usize = 12;
-const DRILL_QUEUE_CAPACITY: usize = 4;
+/// Reactor threads; each holds at most [`DRILL_CEILING`] connections.
+const REACTORS: usize = 2;
+const DRILL_CEILING: usize = 2;
+/// Connections the drill holds open: every reactor at its ceiling.
+const DRILL_ADMITTED: usize = REACTORS * DRILL_CEILING;
 const DRILL_OVERFLOW: usize = 3;
 
 /// FNV-1a over the sorted reply lines: a strong, order-independent
@@ -70,45 +76,56 @@ fn run_client(addr: std::net::SocketAddr, client: u64) -> Vec<String> {
         .collect()
 }
 
-/// Workers paused, the queue admits exactly `queue_capacity`
-/// connections and sheds the rest with structured replies; resuming
-/// drains the backlog. Returns (admitted, shed) counts.
-fn overload_drill(server: &Server) -> (usize, usize) {
-    server.pause_workers();
-    let mut admitted: Vec<TcpStream> = Vec::new();
-    let mut shed = 0usize;
-    for i in 0..DRILL_QUEUE_CAPACITY + DRILL_OVERFLOW {
-        let stream = TcpStream::connect(server.addr()).expect("connect during drill");
-        if i < DRILL_QUEUE_CAPACITY {
-            let mut workload = Workload::new(SEED + 1, i as u64);
-            let mut stream = stream;
-            stream
-                .write_all(workload.next_request_line().as_bytes())
-                .expect("write drill request");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close drill connection");
-            admitted.push(stream);
-        } else {
-            // Overflow connections are shed at accept: one overloaded
-            // line, then close. Block until that reply arrives so the
-            // drill stays in lockstep with the acceptor.
-            let mut line = String::new();
-            BufReader::new(stream)
-                .read_line(&mut line)
-                .expect("read shed reply");
-            let doc = Json::parse(&line).expect("shed reply is JSON");
-            assert_eq!(
-                doc.get("error").and_then(|e| e.get("kind")),
-                Some(&Json::Str("overloaded".into())),
-                "shed reply must be structured: {line}"
-            );
-            shed += 1;
-        }
+/// Waits (10 ms granularity, panicking after 5 s) until the server
+/// has closed every client connection, so the drain that follows
+/// abandons nothing. Shared with the other serving experiments.
+pub(crate) fn wait_for_teardown(server: &ReactorServer) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.live_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for connection teardown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
-    server.resume_workers();
-    let drained = admitted.len();
-    for stream in admitted {
+}
+
+/// Fills every reactor to its ceiling with silent connections; the
+/// next ones are shed with structured replies. Only once every shed
+/// reply is in do the held connections send their requests: a held
+/// connection that was answered and closed earlier would free a slot
+/// and admit an overflow connection. Returns (admitted, shed) counts.
+fn overload_drill(server: &ReactorServer) -> (usize, usize) {
+    let held: Vec<TcpStream> = (0..DRILL_ADMITTED)
+        .map(|_| TcpStream::connect(server.addr()).expect("connect during drill"))
+        .collect();
+    let mut shed = 0usize;
+    for _ in 0..DRILL_OVERFLOW {
+        // Overflow connections are shed at admission: one overloaded
+        // line, then close. Block until that reply arrives so the
+        // drill stays in lockstep with the acceptor.
+        let stream = TcpStream::connect(server.addr()).expect("connect during drill");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read shed reply");
+        let doc = Json::parse(&line).expect("shed reply is JSON");
+        assert_eq!(
+            doc.get("error").and_then(|e| e.get("kind")),
+            Some(&Json::Str("overloaded".into())),
+            "shed reply must be structured: {line}"
+        );
+        shed += 1;
+    }
+    let admitted = held.len();
+    for (i, mut stream) in held.into_iter().enumerate() {
+        let mut workload = Workload::new(SEED + 1, i as u64);
+        stream
+            .write_all(workload.next_request_line().as_bytes())
+            .expect("write drill request");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close drill connection");
         let mut line = String::new();
         BufReader::new(stream)
             .read_line(&mut line)
@@ -116,7 +133,7 @@ fn overload_drill(server: &Server) -> (usize, usize) {
         let doc = Json::parse(&line).expect("drill reply is JSON");
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{line}");
     }
-    (drained, shed)
+    (admitted, shed)
 }
 
 /// Runs the server benchmark and reports deterministic throughput,
@@ -126,12 +143,12 @@ pub fn serve() -> Report {
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
     let engine_threads = engine.threads();
-    let config = ServerConfig {
-        workers: 2,
-        queue_capacity: DRILL_QUEUE_CAPACITY,
-        ..ServerConfig::default()
+    let config = ReactorConfig {
+        reactors: REACTORS,
+        max_connections: DRILL_CEILING,
+        ..ReactorConfig::default()
     };
-    let server = Server::start(engine, config, &registry).expect("bind loopback server");
+    let server = ReactorServer::start(engine, config, &registry).expect("bind loopback server");
 
     let (drill_admitted, drill_shed) = overload_drill(&server);
 
@@ -172,6 +189,7 @@ pub fn serve() -> Report {
     }
     let digest = fnv_digest(&mut replies);
 
+    wait_for_teardown(&server);
     let stats = server.drain();
     let requests = registry.counter("serve.requests").get();
     let sheds = registry.counter("serve.sheds").get();
@@ -181,8 +199,8 @@ pub fn serve() -> Report {
 
     let quantile = |q: f64| latency_units.quantile(q).unwrap_or(0.0);
     let mut out = format!(
-        "DSE query server — {} worker(s) over a {}-thread engine\n\n",
-        config.workers, engine_threads
+        "DSE query server — {} reactor(s) over a {}-thread engine\n\n",
+        config.reactors, engine_threads
     );
     out.push_str(&format!(
         "overload drill: {drill_admitted} admitted, {drill_shed} shed with structured replies\n"
@@ -278,7 +296,7 @@ mod tests {
         };
         assert_eq!(
             num(&["throughput", "requests"]),
-            (CLIENTS as usize * REQUESTS_PER_CLIENT + DRILL_QUEUE_CAPACITY) as f64
+            (CLIENTS as usize * REQUESTS_PER_CLIENT + DRILL_ADMITTED) as f64
         );
         assert_eq!(
             num(&["latency_units", "count"]),
@@ -292,7 +310,7 @@ mod tests {
         assert_eq!(
             num(&["drain", "threads_joined"]),
             3.0,
-            "2 workers + acceptor"
+            "2 reactors + acceptor"
         );
         assert_eq!(
             m.get("drain").unwrap().get("clean"),

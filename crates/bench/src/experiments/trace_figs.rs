@@ -21,7 +21,7 @@
 //!    counts, so `BENCH_trace.json` is byte-identical at `--threads 1`
 //!    and `--threads 4` and CI diffs exactly that.
 
-use super::serve_figs::fnv_digest;
+use super::serve_figs::{fnv_digest, wait_for_teardown};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_components::battery::CellCount;
@@ -30,10 +30,10 @@ use drone_serve::protocol::{
     handle_batch_traced, request_to_json, request_to_json_traced, BatchPolicy, BatchTracing,
     ReplySlot,
 };
-use drone_serve::{Client, ClientConfig, Server, ServerConfig, Workload};
+use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::trace::{TagValue, Trace};
 use drone_telemetry::{derive_trace_id, id_hex, Clock, Json, Registry, TraceRing};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const SEED: u64 = 7;
@@ -288,18 +288,24 @@ fn live_introspection() -> (Json, String) {
     let registry = Registry::with_wall_clock();
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
-    let config = ServerConfig {
-        workers: 2,
+    let config = ReactorConfig {
+        reactors: 2,
         trace_seed: SEED,
         trace_capacity: 64,
-        ..ServerConfig::default()
+        ..ReactorConfig::default()
     };
-    let server = Server::start(engine, config, &registry).expect("bind loopback server");
+    let server = ReactorServer::start(engine, config, &registry).expect("bind loopback server");
     let addr = server.addr();
 
+    // The span tree fetched back below is client 0's first request;
+    // its span count depends on how many of its points hit the memo
+    // cache. The other clients hold off until that request is
+    // answered, so it always runs cold and the count is reproducible.
+    let first_answered = Arc::new(Barrier::new(PHASE_B_CLIENTS as usize));
     let clients: Vec<std::thread::JoinHandle<Vec<String>>> = (0..PHASE_B_CLIENTS)
         .map(|c| {
             let registry = registry.clone();
+            let first_answered = Arc::clone(&first_answered);
             std::thread::spawn(move || {
                 // Distinct trace seeds keep the clients' trace ids
                 // disjoint while staying derivable by the artifact.
@@ -312,9 +318,15 @@ fn live_introspection() -> (Json, String) {
                     &registry,
                 );
                 let mut workload = Workload::new(SEED, c);
+                if c != 0 {
+                    first_answered.wait();
+                }
                 (0..PHASE_B_REQUESTS)
-                    .map(|_| {
+                    .map(|i| {
                         let success = client.call(&workload.next_query()).expect("traced call");
+                        if c == 0 && i == 0 {
+                            first_answered.wait();
+                        }
                         success.reply.render()
                     })
                     .collect()
@@ -368,6 +380,7 @@ fn live_introspection() -> (Json, String) {
     let wall_batches = registry.histogram("serve.request.latency_s").snapshot();
     probes_ok += 2;
 
+    wait_for_teardown(&server);
     let drain = server.drain();
     let requests = registry.counter("serve.requests").get();
     let admin = registry.counter("serve.admin_requests").get();
@@ -413,7 +426,7 @@ fn live_introspection() -> (Json, String) {
         .and_then(Json::as_f64)
         .unwrap_or(-1.0);
     let mut text = format!(
-        "phase B — live introspection plane ({} clients x {} requests, {} workers)\n",
+        "phase B — live introspection plane ({} clients x {} requests, {} reactors)\n",
         PHASE_B_CLIENTS, PHASE_B_REQUESTS, 2
     );
     text.push_str(&format!(
@@ -421,7 +434,7 @@ fn live_introspection() -> (Json, String) {
         replies.len(),
     ));
     text.push_str(&format!(
-        "  trace {} fetched back: {fetched_spans} spans; final queue depth {queue_depth}\n",
+        "  trace {} fetched back: {fetched_spans} spans; open connections at the final probe {queue_depth}\n",
         id_hex(wanted),
     ));
     text.push_str(&format!(

@@ -2,7 +2,7 @@
 //! airframe's `FaultSchedule` (PR 1), aimed at the serving stack.
 //!
 //! [`ChaosProxy`] is a std-only loopback relay that sits between a
-//! client and a [`crate::Server`], forwarding bytes while injecting
+//! client and a [`crate::ReactorServer`], forwarding bytes while injecting
 //! one configured [`Fault`] per connection according to a
 //! [`FaultSchedule`]. Faults model the classic network misbehaviors:
 //!
@@ -353,7 +353,7 @@ fn would_block(e: &std::io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::client::{CallError, Client, ClientConfig};
-    use crate::server::{Server, ServerConfig};
+    use crate::reactor::{ReactorConfig, ReactorServer};
     use drone_components::battery::CellCount;
     use drone_explorer::{Explorer, GridRange, Objective, Query, QueryRanges};
     use drone_telemetry::Registry;
@@ -386,7 +386,8 @@ mod tests {
 
     fn run_through(schedule: FaultSchedule) -> (Result<u32, CallError>, ProxyStats, Registry) {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let proxy = ChaosProxy::start(server.addr(), schedule, 42).unwrap();
         let mut client = Client::new(proxy.addr(), client_config(), &registry);
         let outcome = client.call(&query()).map(|s| s.attempts);

@@ -438,7 +438,7 @@ fn reply_error(reply: &Json) -> RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Server, ServerConfig};
+    use crate::reactor::{ReactorConfig, ReactorServer};
     use drone_components::battery::CellCount;
     use drone_explorer::{Explorer, GridRange, Objective, QueryRanges};
     use std::net::TcpListener;
@@ -470,7 +470,8 @@ mod tests {
     #[test]
     fn a_clean_call_answers_on_the_first_attempt() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let mut client = Client::new(server.addr(), fast_config(), &registry);
         let success = client.call(&small_query("clean")).unwrap();
         assert_eq!(success.attempts, 1);
@@ -484,7 +485,8 @@ mod tests {
     #[test]
     fn a_reset_connection_is_retried_to_success() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         // A one-shot flaky front: first connection dropped on the
         // floor, later ones relayed verbatim to the real server.
         let front = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -515,7 +517,8 @@ mod tests {
     #[test]
     fn typed_rejections_are_not_retried() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let mut client = Client::new(server.addr(), fast_config(), &registry);
         // An inverted range fails validation server-side.
         let mut bad = small_query("bad");
@@ -577,7 +580,8 @@ mod tests {
     #[test]
     fn a_successful_probe_closes_the_breaker() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let config = ClientConfig {
             retries: 0,
             breaker_threshold: 1,
@@ -609,7 +613,8 @@ mod tests {
     #[test]
     fn a_call_stamps_a_trace_the_client_can_fetch_back() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let config = ClientConfig {
             trace_seed: 99,
             ..fast_config()

@@ -17,23 +17,26 @@
 //!   [`protocol::handle_batch`], which coalesces a batch of request
 //!   lines into **one** [`drone_explorer::Explorer::run_batch`] call
 //!   so pipelined queries share the memoization cache.
-//! - [`framer`] — incremental newline framing shared by both
-//!   front-ends: linear-time watermark scanning, one copy per line,
-//!   `too_large` resynchronization, and the `has_partial` ground
-//!   truth the progress deadlines are armed on.
-//! - [`server`] — the threaded front-end: a single acceptor feeding a
-//!   bounded connection queue drained by a worker pool, structured
-//!   `overloaded` sheds once the queue fills, and a graceful
-//!   [`server::Server::drain`] that joins every thread.
-//! - [`reactor`] — the epoll front-end: per-core reactor threads over
-//!   raw readiness syscalls (no libc, no runtime crate), each owning
-//!   a slab of nonblocking connections, with no idle busy-polling —
-//!   an idle server makes zero `epoll_wait` returns. Same framer,
-//!   same batch core, same `serve.*` metrics as [`server`].
+//! - [`framer`] — incremental newline framing: linear-time watermark
+//!   scanning, one copy per line, `too_large` resynchronization, and
+//!   the `has_partial` ground truth the progress deadlines are armed
+//!   on.
+//! - [`reactor`] — the one TCP front-end: an acceptor dealing
+//!   connections round-robin to reactor threads over raw readiness
+//!   syscalls (no libc, no runtime crate), each owning a slab of
+//!   nonblocking connections, with no idle busy-polling — an idle
+//!   server makes zero `epoll_wait` returns. Structured `overloaded`
+//!   sheds past each reactor's connection ceiling, and a graceful
+//!   [`ReactorServer::drain`] that joins every thread.
+//! - `service` — the engine-backed line handler the reactor drives:
+//!   batching, panic isolation, the introspection plane and the
+//!   `serve.*` metrics.
 //! - [`router`] — process-level sharding: the memo cache's
 //!   quantized-FNV scheme lifted to N engine shards behind a thin
 //!   scatter/gather front whose input-ordered merge makes replies
 //!   byte-identical at every shard count (DESIGN §14).
+//! - [`client`] and [`chaos`] — a resilient retrying client and a
+//!   seeded fault-injecting proxy, for driving the server end to end.
 //! - [`workload`] — deterministic seeded client workloads, so the
 //!   `repro serve` / `repro serve_scale` benchmarks replay the same
 //!   byte stream every run and their artifacts stay byte-stable
@@ -49,7 +52,8 @@
 //! client-stamped or server-derived) into a bounded ring, and two
 //! additional wire request kinds — `{"id":..,"stats":{}}` and
 //! `{"id":..,"trace":{"last":N}}` — let a live client snapshot the
-//! metrics registry, queue depth and recent span trees mid-workload.
+//! metrics registry, open-connection count and recent span trees
+//! mid-workload.
 
 pub mod chaos;
 pub mod client;
@@ -57,22 +61,28 @@ pub mod framer;
 pub mod protocol;
 pub mod reactor;
 pub mod router;
-pub mod server;
+mod service;
 pub(crate) mod sys;
 pub mod workload;
 
-pub use chaos::{ChaosProxy, Fault, FaultSchedule, ProxyStats};
-pub use client::{CallError, CallSuccess, Client, ClientConfig};
-pub use framer::{FrameEvent, LineFramer};
+/// Client-facing contract tests of the served front-end, run over real
+/// sockets against an engine-backed [`ReactorServer`].
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod server {
+    mod tests;
+}
+
+pub use chaos::{ChaosProxy, Fault, FaultSchedule};
+pub use client::{CallError, Client, ClientConfig};
+pub use framer::LineFramer;
 pub use protocol::{
-    answer_to_json, cost_units, error_reply, handle_batch, handle_batch_traced, handle_batch_with,
-    ok_optimize_reply, ok_reply, optimize_answer_to_json, optimize_cost_units,
-    optimize_request_to_json, optimize_request_to_json_traced, parse_request, request_to_json,
-    request_to_json_traced, stats_request_json, trace_request_json, AdminRequest, BatchOutcome,
-    BatchPolicy, BatchTracing, ErrorKind, ReplySlot, Request, RequestBody, RequestError,
-    TraceQuery, MAX_TRACE_FETCH,
+    error_reply, handle_batch, handle_batch_traced, ok_reply, parse_request, request_to_json,
+    BatchOutcome, BatchPolicy, BatchTracing, ErrorKind, ReplySlot, RequestError,
 };
-pub use reactor::{EngineService, LineHandler, ReactorConfig, ReactorServer};
+pub use reactor::{DrainStats, LineHandler, ReactorConfig, ReactorServer};
 pub use router::{Router, RouterConfig, RouterStats};
-pub use server::{DrainStats, Server, ServerConfig};
 pub use workload::Workload;

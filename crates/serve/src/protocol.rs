@@ -635,7 +635,7 @@ pub fn request_to_json(id: u64, query: &Query) -> Json {
 
 /// Renders an optimize request line body (the client-side inverse of
 /// the `optimize` branch of [`parse_request`]).
-pub fn optimize_request_to_json(id: u64, req: &OptimizeRequest) -> Json {
+fn optimize_request_to_json(id: u64, req: &OptimizeRequest) -> Json {
     let body = Json::obj()
         .with("name", req.name.as_str())
         .with("ranges", ranges_to_json(&req.ranges))
@@ -647,7 +647,9 @@ pub fn optimize_request_to_json(id: u64, req: &OptimizeRequest) -> Json {
     Json::obj().with("id", id).with("optimize", body)
 }
 
-/// [`optimize_request_to_json`] with a client-stamped causal trace id.
+/// Renders an optimize request line body stamped with a causal trace
+/// id (the client-side inverse of the `optimize` branch of
+/// [`parse_request`]).
 pub fn optimize_request_to_json_traced(id: u64, trace_id: u64, req: &OptimizeRequest) -> Json {
     let mut doc = optimize_request_to_json(id, req);
     doc.insert("trace_id", id_hex(trace_id));
@@ -1015,17 +1017,7 @@ pub fn handle_batch(
     lines: &[&str],
     limits: &QueryLimits,
 ) -> (Vec<String>, BatchOutcome) {
-    handle_batch_with(engine, lines, limits, BatchPolicy::default())
-}
-
-/// [`handle_batch`] with explicit degradation policy.
-pub fn handle_batch_with(
-    engine: &Explorer,
-    lines: &[&str],
-    limits: &QueryLimits,
-    policy: BatchPolicy,
-) -> (Vec<String>, BatchOutcome) {
-    let (slots, outcome) = handle_batch_core(engine, lines, limits, policy, None);
+    let (slots, outcome) = handle_batch_core(engine, lines, limits, BatchPolicy::default(), None);
     let replies = slots
         .into_iter()
         .map(|slot| match slot {
@@ -1042,8 +1034,8 @@ pub fn handle_batch_with(
     (replies, outcome)
 }
 
-/// [`handle_batch_with`] plus causal tracing: every evaluated (or
-/// shed) request builds a span tree pushed into `tracing.ring`, and
+/// [`handle_batch`] plus a degradation policy and causal tracing:
+/// every evaluated (or shed) request builds a span tree pushed into `tracing.ring`, and
 /// introspection requests come back as [`ReplySlot::Admin`] for the
 /// server to resolve against its live state — *after* it has done its
 /// own metric accounting, so a `stats` reply observes the batch it
@@ -1489,6 +1481,20 @@ mod tests {
         assert_eq!(replies[0], replies[2]);
     }
 
+    /// One line through the pure batch path under an explicit policy.
+    fn handle_with_policy(line: &str, policy: BatchPolicy) -> (Vec<String>, BatchOutcome) {
+        let (slots, outcome) =
+            handle_batch_core(&engine(), &[line], &QueryLimits::default(), policy, None);
+        let replies = slots
+            .into_iter()
+            .map(|slot| match slot {
+                ReplySlot::Line(line) => line,
+                ReplySlot::Admin { .. } => unreachable!("untraced batches reject introspection"),
+            })
+            .collect();
+        (replies, outcome)
+    }
+
     #[test]
     fn over_deadline_requests_shed_before_evaluation() {
         // The minimal request sweeps a 15-point grid; a 10-unit
@@ -1497,8 +1503,7 @@ mod tests {
         let policy = BatchPolicy {
             cost_deadline: Some(10),
         };
-        let (replies, outcome) =
-            handle_batch_with(&engine(), &[line.as_str()], &QueryLimits::default(), policy);
+        let (replies, outcome) = handle_with_policy(&line, policy);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("id"), Some(&Json::Num(7.0)), "shed echoes the id");
@@ -1514,12 +1519,7 @@ mod tests {
         let relaxed = BatchPolicy {
             cost_deadline: Some(15),
         };
-        let (replies, outcome) = handle_batch_with(
-            &engine(),
-            &[line.as_str()],
-            &QueryLimits::default(),
-            relaxed,
-        );
+        let (replies, outcome) = handle_with_policy(&line, relaxed);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(outcome.answered, 1);
@@ -1673,8 +1673,7 @@ mod tests {
         let policy = BatchPolicy {
             cost_deadline: Some(8), // budget 12 > 8
         };
-        let (replies, outcome) =
-            handle_batch_with(&engine(), &[line.as_str()], &QueryLimits::default(), policy);
+        let (replies, outcome) = handle_with_policy(&line, policy);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(
             doc.get("error").and_then(|e| e.get("kind")),

@@ -1,35 +1,30 @@
 //! The epoll front-end: readiness-driven connection handling on a
 //! small fixed set of reactor threads.
 //!
-//! The threaded [`crate::Server`] pins one worker thread to one
-//! connection for the connection's whole lifetime, so its concurrent
-//! connection ceiling *is* its worker count. This module replaces that
-//! front-end with the classic reactor shape: every socket is
-//! nonblocking and registered with an [`crate::sys::Epoll`] instance;
-//! each reactor thread owns a slab of connections and sleeps in
-//! `epoll_wait` until the kernel reports one of them readable or
-//! writable. A reactor wakes *only* for socket readiness, an inbox
-//! handoff from the acceptor, or the earliest armed progress deadline —
-//! there is no periodic poll tick, so an idle server makes zero
-//! wakeups.
+//! Every socket is nonblocking and registered with an
+//! [`crate::sys::Epoll`] instance; each reactor thread owns a slab of
+//! connections and sleeps in `epoll_wait` until the kernel reports one
+//! of them readable or writable. A reactor wakes *only* for socket
+//! readiness, an inbox handoff from the acceptor, or the earliest armed
+//! progress deadline — there is no periodic poll tick, so an idle
+//! server makes zero wakeups, and one reactor thread serves any number
+//! of open connections.
 //!
-//! Everything above the event loop is shared with the threaded server:
-//! the same [`LineFramer`] turns chunks into complete lines, and the
-//! same `BatchCore` (via [`EngineService`]) answers them, so protocol
-//! behaviour cannot drift between the two front-ends. The event loop
-//! itself is generic over a [`LineHandler`] — the scatter/gather
-//! [`crate::router::Router`] front is the second implementation.
+//! Above the event loop, a [`LineFramer`] turns chunks into complete
+//! lines and a [`LineHandler`] answers them. [`ReactorServer::start`]
+//! puts the engine-backed service (`crate::service`) behind it; the
+//! scatter/gather [`crate::router::Router`] front is the other
+//! handler.
 //!
-//! The slow-loris defense ports over with stronger mechanics: instead
-//! of a per-read timeout, each connection that *owes a newline* carries
-//! a progress deadline, and the reactor's `epoll_wait` timeout is the
-//! earliest one armed. A byte-dripping client wakes the reactor per
-//! byte but never resets the deadline; a fully idle connection arms no
-//! deadline and costs no wakeups at all.
+//! The slow-loris defense is progress-based: each connection that
+//! *owes a newline* carries a progress deadline, and the reactor's
+//! `epoll_wait` timeout is the earliest one armed. A byte-dripping
+//! client wakes the reactor per byte but never resets the deadline; a
+//! fully idle connection arms no deadline and costs no wakeups at all.
 
 use crate::framer::{FrameEvent, LineFramer};
 use crate::protocol::ErrorKind;
-use crate::server::{BatchCore, DrainStats};
+use crate::service::EngineService;
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use drone_explorer::{Explorer, QueryLimits};
 use drone_telemetry::Registry;
@@ -52,27 +47,30 @@ pub struct ReactorConfig {
     pub max_connections: usize,
     /// Most pipelined requests coalesced into one engine batch.
     pub max_batch: usize,
-    /// Per-line byte cap (see [`crate::ServerConfig::max_line_bytes`]).
+    /// Per-line byte cap; a longer line gets a `too_large` reply and
+    /// the framer resynchronizes at the next newline.
     pub max_line_bytes: usize,
     /// Reply-backlog cap per connection: while more than this many
     /// unflushed reply bytes are buffered, the reactor drops the
-    /// connection's read interest (the threaded path gets the same
-    /// backpressure for free from blocking writes). Without it a client
-    /// that pipelines requests but never reads its socket grows server
-    /// memory without bound.
+    /// connection's read interest. Without it a client that pipelines
+    /// requests but never reads its socket grows server memory without
+    /// bound.
     pub max_outbuf_bytes: usize,
     /// Progress-based slow-loris budget: a connection owing a newline
     /// for this long gets a typed `deadline_exceeded` reply and closes.
     /// `None` (the default) waits forever.
     pub line_deadline: Option<Duration>,
-    /// Per-request cost-unit deadline (see
-    /// [`crate::ServerConfig::cost_deadline`]).
+    /// Per-request cost-unit deadline: a request whose worst-case
+    /// budget exceeds this is shed with a typed `deadline_exceeded`
+    /// reply before evaluation starts. `None` disables shedding.
     pub cost_deadline: Option<u64>,
     /// Query validation limits applied to every request.
     pub limits: QueryLimits,
-    /// Completed span trees retained for `trace` introspection.
+    /// Completed span trees retained for `trace` introspection; older
+    /// traces are evicted oldest-first.
     pub trace_capacity: usize,
-    /// Seed for server-derived trace ids.
+    /// Seed for server-derived trace ids, used only for requests that
+    /// arrive without a client-stamped `trace_id`.
     pub trace_seed: u64,
 }
 
@@ -109,37 +107,15 @@ pub trait LineHandler: Send + Sync + 'static {
     fn overloaded(&self) -> String;
 }
 
-/// [`LineHandler`] over the shared `BatchCore`: the engine-backed
-/// service the threaded server and the reactor both speak.
-pub struct EngineService {
-    core: BatchCore,
-    live: Arc<AtomicUsize>,
-}
-
-impl EngineService {
-    /// Wraps an engine with the reactor's live-connection gauge; a
-    /// `stats` introspection reply reports that count as `queue_depth`
-    /// (the reactor has no admission queue — its backlog *is* its open
-    /// connections).
-    pub(crate) fn new(core: BatchCore, live: Arc<AtomicUsize>) -> EngineService {
-        EngineService { core, live }
-    }
-}
-
-impl LineHandler for EngineService {
-    fn handle_lines(&self, lines: &[String], out: &mut String) {
-        let live = &self.live;
-        self.core
-            .run_lines(lines, &|| live.load(Ordering::SeqCst), out);
-    }
-
-    fn refusal(&self, kind: ErrorKind, message: &str) -> String {
-        self.core.refusal_line(kind, message)
-    }
-
-    fn overloaded(&self) -> String {
-        self.core.overload_line()
-    }
+/// What a completed drain looked like.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainStats {
+    /// Threads joined: the acceptor plus every reactor.
+    pub threads_joined: usize,
+    /// Connections still open when the drain began, closed unserved.
+    pub abandoned_connections: usize,
+    /// True when every thread joined without panicking.
+    pub clean: bool,
 }
 
 /// Acceptor → reactor handoff: freshly accepted sockets parked until
@@ -187,7 +163,8 @@ pub struct ReactorServer {
 impl ReactorServer {
     /// Binds a loopback port and spins up the acceptor plus
     /// `config.reactors` event-loop threads over an engine-backed
-    /// [`EngineService`].
+    /// service. The engine is shared by every reactor, so every batch
+    /// benefits from one memoization cache.
     ///
     /// # Errors
     ///
@@ -199,16 +176,7 @@ impl ReactorServer {
         registry: &Registry,
     ) -> std::io::Result<ReactorServer> {
         let live = Arc::new(AtomicUsize::new(0));
-        let core = BatchCore::new(
-            engine,
-            registry,
-            config.limits,
-            config.max_batch,
-            config.cost_deadline,
-            config.trace_capacity,
-            config.trace_seed,
-        );
-        let service = EngineService::new(core, Arc::clone(&live));
+        let service = EngineService::new(engine, &config, registry, Arc::clone(&live));
         ReactorServer::start_with_handler(Arc::new(service), config, live)
     }
 
@@ -328,7 +296,7 @@ impl ReactorServer {
 
 impl Drop for ReactorServer {
     fn drop(&mut self) {
-        // A dropped server must not leak threads (mirrors Server).
+        // A dropped server must not leak threads.
         if self.acceptor.is_some() || !self.reactors.is_empty() {
             let server = ReactorServer {
                 addr: self.addr,
@@ -439,8 +407,8 @@ fn admit_pending(
     for mut stream in pending {
         let open = slab.len() - free.len();
         if open >= config.max_connections.max(1) {
-            // Shed at the door, mirroring the threaded server: one
-            // structured reply on the still-blocking socket, then close.
+            // Shed at the door: one structured reply on the
+            // still-blocking socket, then close.
             let _ = writeln!(stream, "{}", handler.overloaded());
             continue;
         }
@@ -577,8 +545,8 @@ fn drain_readable(
             Err(_) => return false,
         }
     }
-    // The slow-loris rule, shared with the threaded path: completing a
-    // line (or owing nothing) resets the budget; raw bytes do not.
+    // The slow-loris rule: completing a line (or owing nothing) resets
+    // the budget; raw bytes do not.
     if progressed || !conn.framer.has_partial() {
         conn.deadline = if conn.framer.has_partial() {
             config.line_deadline.map(|d| Instant::now() + d)
@@ -741,6 +709,18 @@ mod tests {
         let server =
             ReactorServer::start(Explorer::new(2), config, &registry).expect("bind loopback");
         (server, registry)
+    }
+
+    /// Sends `payload` on a fresh connection, half-closes, and parses
+    /// every reply line until the server closes.
+    fn round_trip(server: &ReactorServer, payload: &str) -> Vec<Json> {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(payload.as_bytes()).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        BufReader::new(stream)
+            .lines()
+            .map(|l| Json::parse(&l.unwrap()).unwrap())
+            .collect()
     }
 
     #[test]
@@ -1004,5 +984,138 @@ mod tests {
         }
         let stats = server.drain();
         assert!(stats.clean);
+    }
+
+    #[test]
+    fn dropping_an_undrained_server_joins_its_threads() {
+        let (server, _registry) = start(ReactorConfig::default());
+        let addr = server.addr();
+        drop(server);
+        // The acceptor joined, so nothing listens on the port any more.
+        assert!(TcpStream::connect(addr).is_err());
+    }
+
+    #[test]
+    fn a_panicking_evaluation_never_kills_the_server() {
+        let registry = Registry::with_wall_clock();
+        // Poison the 350 mm wheelbase sample: request_line's 3-step
+        // 250..450 grid hits it.
+        let engine = Explorer::new(2).with_eval_hook(Arc::new(|q| {
+            assert!(
+                (q.wheelbase_mm - 350.0).abs() > 1e-9,
+                "chaos hook: poisoned wheelbase"
+            );
+        }));
+        let server = ReactorServer::start(engine, ReactorConfig::default(), &registry)
+            .expect("bind loopback");
+        let healthy = r#"{"id":9,"query":{"ranges":{"wheelbase_mm":250,"cells":["3S"],"capacity_mah":2000},"objective":"max_flight_time"}}"#;
+        let replies = round_trip(&server, &format!("{}\n{healthy}\n", request_line(1)));
+        assert_eq!(replies.len(), 2);
+        assert_eq!(replies[0].get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            replies[0].get("error").and_then(|e| e.get("kind")),
+            Some(&Json::Str("internal_error".into()))
+        );
+        assert_eq!(replies[1].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(registry.counter("serve.panics_caught").get(), 1);
+
+        // The server is still fully alive for the next connection.
+        let replies = round_trip(&server, &format!("{healthy}\n"));
+        assert_eq!(replies[0].get("ok"), Some(&Json::Bool(true)));
+        let stats = server.drain();
+        assert!(stats.clean);
+        assert_eq!(stats.threads_joined, ReactorConfig::default().reactors + 1);
+    }
+
+    #[test]
+    fn over_budget_requests_shed_before_the_engine_runs() {
+        let config = ReactorConfig {
+            cost_deadline: Some(10),
+            ..ReactorConfig::default()
+        };
+        let (server, registry) = start(config);
+        // request_line sweeps 15 points; the 10-unit deadline sheds it.
+        let replies = round_trip(&server, &format!("{}\n", request_line(3)));
+        assert_eq!(replies[0].get("id"), Some(&Json::Num(3.0)));
+        assert_eq!(
+            replies[0].get("error").and_then(|e| e.get("kind")),
+            Some(&Json::Str("deadline_exceeded".into()))
+        );
+        assert_eq!(registry.counter("serve.deadline_sheds").get(), 1);
+        assert!(server.drain().clean);
+    }
+
+    #[test]
+    fn a_live_server_answers_stats_and_trace_requests_mid_workload() {
+        let (server, registry) = start(ReactorConfig::default());
+        // Two real queries bracketing a stats probe, then a trace fetch
+        // for the span trees those queries produced — all pipelined on
+        // one connection, answered in input order.
+        let payload = format!(
+            "{}\n{}\n{}\n{}\n",
+            request_line(1),
+            r#"{"id":2,"stats":{}}"#,
+            request_line(3),
+            r#"{"id":4,"trace":{"last":2}}"#,
+        );
+        let replies = round_trip(&server, &payload);
+        assert_eq!(replies.len(), 4);
+        for (reply, id) in replies.iter().zip([1.0, 2.0, 3.0, 4.0]) {
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+            assert_eq!(reply.get("id"), Some(&Json::Num(id)));
+        }
+
+        // The stats reply observed the batch it rode in on: all four
+        // requests (two queries, two introspections) were already
+        // accounted when the snapshot was taken, and the asking
+        // connection is the one open connection.
+        let stats = replies[1].get("stats").expect("stats body");
+        let counters = stats
+            .get("registry")
+            .and_then(|r| r.get("counters"))
+            .expect("registry counters");
+        assert_eq!(counters.get("serve.requests"), Some(&Json::Num(4.0)));
+        assert_eq!(counters.get("serve.admin_requests"), Some(&Json::Num(2.0)));
+        assert_eq!(stats.get("queue_depth"), Some(&Json::Num(1.0)));
+        let traces_meta = stats.get("traces").expect("trace bookkeeping");
+        assert_eq!(traces_meta.get("dropped_spans"), Some(&Json::Num(0.0)));
+
+        // The trace fetch returned both span trees, each rooted at
+        // serve.request with a derived (nonzero) trace id.
+        let traces = replies[3].get("traces").and_then(Json::as_arr).unwrap();
+        assert_eq!(traces.len(), 2);
+        for trace in traces {
+            let tree = trace.get("tree").and_then(Json::as_arr).unwrap();
+            assert_eq!(tree.len(), 1);
+            assert_eq!(
+                tree[0].get("name"),
+                Some(&Json::Str("serve.request".into()))
+            );
+            let hex = trace.get("trace_id").and_then(Json::as_str).unwrap();
+            assert!(drone_telemetry::parse_id_hex(hex).is_some(), "{hex}");
+            assert!(
+                trace.get("spans").and_then(Json::as_f64).unwrap() > 1.0,
+                "engine children recorded"
+            );
+        }
+
+        assert_eq!(registry.counter("serve.admin_requests").get(), 2);
+        assert!(server.drain().clean);
+    }
+
+    #[test]
+    fn trace_fetch_by_id_returns_the_stamped_trace() {
+        let (server, _registry) = start(ReactorConfig::default());
+        let stamped = r#"{"id":1,"trace_id":"00000000deadbeef","query":{"ranges":{"wheelbase_mm":250,"cells":["3S"],"capacity_mah":2000},"objective":"max_flight_time"}}"#;
+        let fetch = r#"{"id":2,"trace":{"trace_id":"00000000deadbeef"}}"#;
+        let replies = round_trip(&server, &format!("{stamped}\n{fetch}\n"));
+        assert_eq!(replies.len(), 2);
+        let traces = replies[1].get("traces").and_then(Json::as_arr).unwrap();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(
+            traces[0].get("trace_id"),
+            Some(&Json::Str("00000000deadbeef".into()))
+        );
+        assert!(server.drain().clean);
     }
 }

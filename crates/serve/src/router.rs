@@ -46,8 +46,7 @@
 //! property the benchmark artifact pins.
 
 use crate::protocol::{self, ErrorKind, Request, RequestBody, RequestError};
-use crate::reactor::{LineHandler, ReactorConfig, ReactorServer};
-use crate::server::DrainStats;
+use crate::reactor::{DrainStats, LineHandler, ReactorConfig, ReactorServer};
 use drone_dse::eval::{DesignQuery, OBJECTIVE_SENSES};
 use drone_explorer::{
     extract_frontier, CacheKey, Explorer, Objective, Query, QueryLimits, ShardSpec,

@@ -11,8 +11,8 @@
 //! Portability: the asm paths cover `linux + (x86_64 | aarch64)` — the
 //! dev boxes and CI runners this repo targets. Elsewhere every entry
 //! point returns `ENOSYS`-flavoured `io::Error`s, so the crate still
-//! builds and the threaded [`crate::Server`] remains the portable
-//! front-end.
+//! builds and [`crate::ReactorServer::start`] fails fast with that
+//! error.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};

@@ -6,7 +6,7 @@
 
 use drone_explorer::{Explorer, QueryLimits};
 use drone_serve::protocol::{handle_batch_traced, BatchPolicy, BatchTracing, ReplySlot};
-use drone_serve::{Client, ClientConfig, Server, ServerConfig, Workload};
+use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Clock, Json, Registry, TraceRing};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -34,7 +34,8 @@ fn round_trip(addr: std::net::SocketAddr, lines: &[String]) -> Vec<Json> {
 #[test]
 fn wire_stats_equal_the_in_process_snapshot_after_drain() {
     let registry = Registry::with_wall_clock();
-    let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).expect("bind");
+    let server =
+        ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).expect("bind");
     let mut workload = Workload::new(11, 0);
     let mut lines: Vec<String> = (0..6).map(|_| workload.next_request_line()).collect();
     lines.push("{\"id\":999,\"stats\":{}}\n".to_owned());
@@ -55,6 +56,10 @@ fn wire_stats_equal_the_in_process_snapshot_after_drain() {
         registry.snapshot().render(),
         "wire snapshot diverged from the live registry"
     );
+    // Every metric the registry reports is one the server maintains:
+    // no gauge that nothing ever sets.
+    let gauges = wire_registry.get("gauges").expect("registry gauges");
+    assert_eq!(gauges.get("serve.queue.depth"), None, "{gauges:?}");
 }
 
 /// The acceptance path: a live server answers `stats` and `trace`
@@ -66,11 +71,11 @@ fn introspection_answers_mid_workload_without_panics_or_leaks() {
     const CLIENTS: u64 = 3;
     const REQUESTS_PER_CLIENT: u64 = 8;
     let registry = Registry::with_wall_clock();
-    let config = ServerConfig {
-        workers: 3,
-        ..ServerConfig::default()
+    let config = ReactorConfig {
+        reactors: 3,
+        ..ReactorConfig::default()
     };
-    let server = Server::start(Explorer::new(2), config, &registry).expect("bind");
+    let server = ReactorServer::start(Explorer::new(2), config, &registry).expect("bind");
     let addr = server.addr();
 
     let workers: Vec<_> = (0..CLIENTS)
@@ -123,7 +128,7 @@ fn introspection_answers_mid_workload_without_panics_or_leaks() {
 
     let stats = server.drain();
     assert!(stats.clean);
-    assert_eq!(stats.threads_joined, 3 + 1, "workers plus acceptor");
+    assert_eq!(stats.threads_joined, 3 + 1, "reactors plus acceptor");
 }
 
 /// Satellite 3, wire part: the span trees recorded for one seeded

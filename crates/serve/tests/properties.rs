@@ -4,7 +4,7 @@
 
 use drone_explorer::{Explorer, QueryLimits};
 use drone_serve::protocol::{handle_batch, parse_request};
-use drone_serve::{Server, ServerConfig, Workload};
+use drone_serve::{ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Json, Registry};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -82,97 +82,14 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Mid-line disconnects and partial-UTF-8 writes: an arbitrary
-    /// prefix of a valid pipelined payload, delivered in arbitrarily
-    /// split chunks, must yield exactly one in-order ok reply per
-    /// fully-delivered request — never losing or reordering them —
-    /// plus at most one structured error for the truncated tail. One
-    /// request carries a multi-byte name, so cuts can land inside a
-    /// UTF-8 sequence.
-    #[test]
-    fn split_payloads_never_lose_or_reorder_delivered_requests(
-        keep_permille in 0u32..=1000,
-        cuts in prop::collection::vec(0usize..4000, 0..6),
-    ) {
-        use drone_components::battery::CellCount;
-        use drone_explorer::{GridRange, Objective, Query, QueryRanges};
-        use drone_serve::request_to_json;
-
-        let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry)
-            .expect("bind loopback");
-        let mut payload: Vec<u8> = Vec::new();
-        let mut line_ends: Vec<usize> = Vec::new();
-        for id in 0..5u64 {
-            let query = Query::new(
-                &format!("sweep-π-{id}"),
-                QueryRanges {
-                    wheelbase_mm: GridRange::new(250.0, 450.0, 3),
-                    cells: vec![CellCount::S3],
-                    capacity_mah: GridRange::new(2000.0, 6000.0, 3),
-                    compute_power_w: GridRange::fixed(20.0),
-                    twr: GridRange::fixed(2.0),
-                    payload_g: GridRange::fixed(0.0),
-                },
-                Objective::MaxFlightTime,
-            );
-            payload.extend_from_slice(request_to_json(id, &query).render().as_bytes());
-            payload.push(b'\n');
-            line_ends.push(payload.len());
-        }
-        let keep = (payload.len() as u64 * u64::from(keep_permille) / 1000) as usize;
-        let fully_delivered = line_ends.iter().filter(|&&end| end <= keep).count();
-
-        let mut points: Vec<usize> = cuts.into_iter().map(|c| c % (keep + 1)).collect();
-        points.sort_unstable();
-        points.dedup();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut sent = 0usize;
-        for point in points.into_iter().chain(std::iter::once(keep)) {
-            stream.write_all(&payload[sent..point]).unwrap();
-            stream.flush().unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            sent = point;
-        }
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-
-        let replies: Vec<String> = BufReader::new(stream)
-            .lines()
-            .map(|l| l.unwrap())
-            .collect();
-        prop_assert!(
-            replies.len() == fully_delivered || replies.len() == fully_delivered + 1,
-            "{} complete requests sent, {} replies", fully_delivered, replies.len()
-        );
-        for (id, reply) in replies.iter().take(fully_delivered).enumerate() {
-            assert_reply_shape(reply);
-            let doc = Json::parse(reply).unwrap();
-            prop_assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{}", reply);
-            prop_assert_eq!(doc.get("id"), Some(&Json::Num(id as f64)), "{}", reply);
-        }
-        // The truncated tail, if it produced anything, produced one
-        // structured error — never a bogus answer.
-        if replies.len() == fully_delivered + 1 {
-            assert_reply_shape(&replies[fully_delivered]);
-            let doc = Json::parse(&replies[fully_delivered]).unwrap();
-            prop_assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
-        }
-        let stats = server.drain();
-        prop_assert!(stats.clean);
-    }
-}
-
 /// End-to-end: junk bytes and valid requests interleaved over a real
 /// socket. The server answers the valid ones, rejects the junk with
 /// structured errors, and drains with every thread joined.
 #[test]
 fn socket_survives_junk_interleaved_with_valid_requests() {
     let registry = Registry::with_wall_clock();
-    let server =
-        Server::start(Explorer::new(2), ServerConfig::default(), &registry).expect("bind loopback");
+    let server = ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry)
+        .expect("bind loopback");
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut workload = Workload::new(9, 0);
     let mut expected_ok = 0usize;
@@ -204,8 +121,8 @@ fn socket_survives_junk_interleaved_with_valid_requests() {
     let stats = server.drain();
     assert_eq!(
         stats.threads_joined,
-        ServerConfig::default().workers + 1,
-        "drain must join the acceptor and every worker"
+        ReactorConfig::default().reactors + 1,
+        "drain must join the acceptor and every reactor"
     );
     assert!(stats.clean);
 }
@@ -219,7 +136,10 @@ fn socket_survives_junk_interleaved_with_valid_requests() {
 ))]
 mod reactor_props {
     use super::*;
-    use drone_serve::{ReactorConfig, ReactorServer, Router, RouterConfig};
+    use drone_components::battery::CellCount;
+    use drone_explorer::{GridRange, Objective, Query, QueryRanges};
+    use drone_serve::protocol::{error_reply, request_to_json, ErrorKind, RequestError};
+    use drone_serve::{Router, RouterConfig};
     use std::time::{Duration, Instant};
 
     fn drip_chunks(stream: &mut TcpStream, payload: &[u8], cuts: Vec<usize>, keep: usize) {
@@ -235,11 +155,178 @@ mod reactor_props {
         }
     }
 
+    /// Byte cap for the session oracle: every valid line fits under
+    /// it, every oversized piece is over it.
+    const ORACLE_CAP: usize = 1024;
+
+    /// One line of a generated session, before framing.
+    #[derive(Debug, Clone)]
+    enum Piece {
+        /// The next request line of the session's seeded workload.
+        Valid,
+        /// A valid request whose name carries multi-byte UTF-8, so a
+        /// chunk cut can land inside a character.
+        Unicode,
+        /// Arbitrary bytes, newline excepted.
+        Hostile(Vec<u8>),
+        /// `'x'` bytes past the cap by the given count.
+        Oversized(usize),
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        let hostile_byte = any::<u8>().prop_filter("no newline", |b| *b != b'\n');
+        prop_oneof![
+            Just(Piece::Valid),
+            Just(Piece::Valid),
+            Just(Piece::Unicode),
+            prop::collection::vec(hostile_byte, 0..120).prop_map(Piece::Hostile),
+            (1usize..2000).prop_map(Piece::Oversized),
+        ]
+    }
+
+    /// What the server may answer for one framed line: the pure batch
+    /// reply, or, for a line over the cap, the typed refusal instead
+    /// (which of the two depends on where the chunks were cut).
+    #[derive(Debug)]
+    struct Expected {
+        pure: String,
+        may_refuse: bool,
+    }
+
+    /// The reply the pure handler gives `raw` as the framer would
+    /// deliver it (trailing CR stripped, lossily decoded), or `None`
+    /// for a blank line, which gets no reply.
+    fn expect_line(engine: &Explorer, raw: &[u8]) -> Option<Expected> {
+        let framed = raw.strip_suffix(b"\r").unwrap_or(raw);
+        let text = String::from_utf8_lossy(framed);
+        if text.trim().is_empty() {
+            return None;
+        }
+        let (mut replies, _) = handle_batch(engine, &[text.as_ref()], &QueryLimits::default());
+        Some(Expected {
+            pure: replies.remove(0),
+            may_refuse: raw.len() > ORACLE_CAP,
+        })
+    }
+
+    /// Renders a session into wire bytes plus the reply each line is
+    /// owed. `tail` appends an unterminated prefix of one more valid
+    /// line, which EOF still delivers.
+    fn session(seed: u64, pieces: &[Piece], tail: Option<usize>) -> (Vec<u8>, Vec<Expected>) {
+        let engine = Explorer::new(1);
+        let mut workload = Workload::new(seed, 0);
+        let mut payload = Vec::new();
+        let mut expected = Vec::new();
+        for (id, piece) in pieces.iter().enumerate() {
+            let line = match piece {
+                Piece::Valid => workload.next_request_line().trim_end().as_bytes().to_vec(),
+                Piece::Unicode => {
+                    let query = Query::new(
+                        &format!("sweep-π-ü-{id}"),
+                        QueryRanges {
+                            wheelbase_mm: GridRange::new(250.0, 450.0, 3),
+                            cells: vec![CellCount::S3],
+                            capacity_mah: GridRange::new(2000.0, 6000.0, 3),
+                            compute_power_w: GridRange::fixed(20.0),
+                            twr: GridRange::fixed(2.0),
+                            payload_g: GridRange::fixed(0.0),
+                        },
+                        Objective::MaxFlightTime,
+                    );
+                    request_to_json(id as u64, &query).render().into_bytes()
+                }
+                Piece::Hostile(bytes) => bytes.clone(),
+                Piece::Oversized(over) => vec![b'x'; ORACLE_CAP + over],
+            };
+            expected.extend(expect_line(&engine, &line));
+            payload.extend_from_slice(&line);
+            payload.push(b'\n');
+        }
+        if let Some(cut) = tail {
+            let line = workload.next_request_line();
+            let prefix = &line.as_bytes()[..cut % line.len()];
+            expected.extend(expect_line(&engine, prefix));
+            payload.extend_from_slice(prefix);
+        }
+        (payload, expected)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The session oracle: the reactor is a pure function of its
+        /// input bytes. A generated session — pipelined valid lines,
+        /// multi-byte UTF-8, hostile bytes, oversized lines and an
+        /// optional unterminated tail, cut into arbitrary chunks and
+        /// half-closed — gets exactly one reply per non-blank line, in
+        /// order, each equal to what the pure [`handle_batch`] answers
+        /// for that line, or the typed `too_large` refusal for a line
+        /// over the cap. A reply backlog cap below one reply keeps the
+        /// read-backpressure path in play. Every line is accounted for:
+        /// handled lines in `serve.requests`, refusals in
+        /// `serve.errors.protocol`.
+        #[test]
+        fn every_delivered_reply_matches_the_pure_batch_handler(
+            seed in any::<u64>(),
+            pieces in prop::collection::vec(piece(), 1..10),
+            with_tail in any::<bool>(),
+            tail in any::<usize>(),
+            cuts in prop::collection::vec(any::<usize>(), 0..10),
+        ) {
+            let (payload, expected) = session(seed, &pieces, with_tail.then_some(tail));
+            let registry = Registry::with_wall_clock();
+            let config = ReactorConfig {
+                reactors: 1,
+                max_line_bytes: ORACLE_CAP,
+                max_outbuf_bytes: 256,
+                ..ReactorConfig::default()
+            };
+            let server = ReactorServer::start(Explorer::new(2), config, &registry)
+                .expect("bind reactor");
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            drip_chunks(&mut stream, &payload, cuts, payload.len());
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let replies: Vec<String> = BufReader::new(stream)
+                .lines()
+                .map(|l| l.unwrap())
+                .collect();
+
+            let refusal = error_reply(
+                &Json::Null,
+                &RequestError {
+                    kind: ErrorKind::TooLarge,
+                    message: "request line exceeds size cap".into(),
+                },
+            )
+            .render();
+            prop_assert_eq!(replies.len(), expected.len(), "one reply per non-blank line");
+            let mut refused = 0u64;
+            for (reply, want) in replies.iter().zip(&expected) {
+                if *reply != want.pure {
+                    prop_assert!(want.may_refuse && *reply == refusal, "{} != {}", reply, want.pure);
+                    refused += 1;
+                }
+            }
+            let handled = expected.len() as u64 - refused;
+            prop_assert_eq!(registry.counter("serve.requests").get(), handled);
+            let parse_errors = replies
+                .iter()
+                .filter(|r| **r != refusal && r.contains(r#""ok":false"#))
+                .count() as u64;
+            prop_assert_eq!(
+                registry.counter("serve.errors.protocol").get()
+                    + registry.counter("serve.errors.query").get(),
+                parse_errors + refused
+            );
+            let stats = server.drain();
+            prop_assert!(stats.clean);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The reactor analogue of the threaded split-payload
-        /// property: an arbitrary prefix of a pipelined payload,
+        /// An arbitrary prefix of a pipelined payload,
         /// delivered in arbitrarily split chunks across epoll
         /// readiness events, yields exactly one in-order ok reply per
         /// fully-delivered request — complete requests are never lost
@@ -465,18 +552,37 @@ mod reactor_props {
     }
 }
 
-/// A client that opens a connection, sends nothing and hangs up must
-/// not wedge a worker or leave threads behind.
+/// Clients that open a connection, send nothing and hang up must not
+/// wedge a reactor or leave a connection slot behind: on a reactor
+/// with exactly as many slots as silent clients, a real request still
+/// gets through once they hang up.
 #[test]
 fn silent_clients_do_not_wedge_the_pool() {
+    const SILENT: usize = 3;
     let registry = Registry::with_wall_clock();
-    let server =
-        Server::start(Explorer::new(1), ServerConfig::default(), &registry).expect("bind loopback");
-    for _ in 0..3 {
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        drop(stream);
-    }
-    // A real request still gets through afterwards.
+    let config = ReactorConfig {
+        reactors: 1,
+        max_connections: SILENT,
+        ..ReactorConfig::default()
+    };
+    let server = ReactorServer::start(Explorer::new(1), config, &registry).expect("bind loopback");
+    let wait_for = |live: usize| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while server.live_connections() != live {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never reached {live} live"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+    let silent: Vec<TcpStream> = (0..SILENT)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    wait_for(SILENT);
+    drop(silent);
+    wait_for(0);
+
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut workload = Workload::new(1, 0);
     stream
@@ -487,8 +593,10 @@ fn silent_clients_do_not_wedge_the_pool() {
     BufReader::new(stream).read_line(&mut line).unwrap();
     assert_eq!(
         Json::parse(&line).unwrap().get("ok"),
-        Some(&Json::Bool(true))
+        Some(&Json::Bool(true)),
+        "{line}"
     );
+    assert_eq!(registry.counter("serve.sheds").get(), 0);
     let stats = server.drain();
     assert!(stats.clean);
 }
