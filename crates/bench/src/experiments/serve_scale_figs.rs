@@ -27,9 +27,7 @@ use crate::experiments::serve_figs::{fnv_digest, wait_for_teardown};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_explorer::Explorer;
-use drone_serve::{
-    DrainStats, ReactorConfig, ReactorServer, Router, RouterConfig, RouterStats, Workload,
-};
+use drone_serve::{DrainStats, ReactorConfig, ReactorServer, Router, RouterConfig, Workload};
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -150,7 +148,7 @@ struct RouterRun {
     requests: u64,
     errors: u64,
     protocol_errors: u64,
-    stats: RouterStats,
+    stats: DrainStats,
 }
 
 /// One router sweep leg: a scatter/gather router over `shards` engine
@@ -190,6 +188,15 @@ fn router_run(shards: usize) -> RouterRun {
                     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{line}");
                     replies.push(line.trim_end().to_string());
                 }
+                // Hang up and read to EOF: the router has closed its
+                // side, so the drain finds no connection left open.
+                stream
+                    .get_mut()
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("half-close router connection");
+                let mut rest = String::new();
+                let trailing = stream.read_line(&mut rest).expect("read router EOF");
+                assert_eq!(trailing, 0, "unexpected bytes after the last reply: {rest}");
                 (replies, latencies)
             })
         })
@@ -338,7 +345,7 @@ pub fn serve_scale() -> Report {
                                 Json::obj()
                                     .with("shards", run.shards)
                                     .with("threads_joined", run.stats.threads_joined)
-                                    .with("shard_threads_joined", run.stats.shard_threads_joined)
+                                    .with("abandoned_connections", run.stats.abandoned_connections)
                                     .with("clean", run.stats.clean)
                             })
                             .collect(),
@@ -417,6 +424,20 @@ mod tests {
             0.0,
             "the drill must leave no abandoned connections"
         );
+        let legs = m.get("sharding").unwrap().get("per_count").unwrap();
+        for leg in legs.as_arr().unwrap() {
+            assert_eq!(leg.get("clean"), Some(&Json::Bool(true)));
+            assert_eq!(
+                leg.get("threads_joined").and_then(Json::as_f64),
+                Some((REACTORS + 1) as f64),
+                "the router front's reactors plus its acceptor, whatever the shard count"
+            );
+            assert_eq!(
+                leg.get("abandoned_connections").and_then(Json::as_f64),
+                Some(0.0),
+                "every router client hung up before the drain"
+            );
+        }
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //! - `service` — the engine-backed line handler the reactor drives:
 //!   batching, panic isolation, the introspection plane and the
 //!   `serve.*` metrics.
-//! - [`router`] — process-level sharding: the memo cache's
-//!   quantized-FNV scheme lifted to N engine shards behind a thin
-//!   scatter/gather front whose input-ordered merge makes replies
-//!   byte-identical at every shard count (DESIGN §14).
+//! - [`router`] — request-level sharding: the memo cache's
+//!   quantized-FNV scheme lifted to N shard-local engines that one
+//!   front reactor calls directly, with an input-ordered merge that
+//!   makes replies byte-identical at every shard count (DESIGN §14).
 //! - [`client`] and [`chaos`] — a resilient retrying client and a
 //!   seeded fault-injecting proxy, for driving the server end to end.
 //! - [`workload`] — deterministic seeded client workloads, so the
@@ -84,5 +84,5 @@ pub use protocol::{
     BatchOutcome, BatchPolicy, BatchTracing, ErrorKind, ReplySlot, RequestError,
 };
 pub use reactor::{DrainStats, LineHandler, ReactorConfig, ReactorServer};
-pub use router::{Router, RouterConfig, RouterStats};
+pub use router::{Router, RouterConfig};
 pub use workload::Workload;

@@ -702,7 +702,7 @@ pub fn cost_units(answer: &QueryAnswer) -> u64 {
 /// Frontier members in reply order: flight time desc, weight asc, so
 /// the reply bytes are stable however the feasible set was admitted.
 /// The sort is stable: exact ties keep admission order.
-fn reply_order(frontier: &[DesignEval]) -> Vec<&DesignEval> {
+pub(crate) fn reply_order(frontier: &[DesignEval]) -> Vec<&DesignEval> {
     let mut members: Vec<&DesignEval> = frontier.iter().collect();
     members.sort_by(|a, b| {
         b.flight_time_min
@@ -925,6 +925,23 @@ pub struct BatchPolicy {
     pub cost_deadline: Option<u64>,
 }
 
+impl BatchPolicy {
+    /// Admits work whose worst-case cost is `estimated` units, or
+    /// refuses it with the typed `deadline_exceeded` error a shed
+    /// request is answered with.
+    pub(crate) fn admit(self, estimated: u64) -> Result<(), RequestError> {
+        match self.cost_deadline {
+            Some(deadline) if estimated > deadline => Err(RequestError {
+                kind: ErrorKind::DeadlineExceeded,
+                message: format!(
+                    "estimated {estimated} cost units exceeds the {deadline}-unit deadline"
+                ),
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The tracing context the server threads through a traced batch: the
 /// ring completed span trees land in, the clock spans time against,
 /// and the seed used to derive trace ids for requests that did not
@@ -1052,18 +1069,9 @@ pub fn handle_batch_traced(
 
 /// Applies the cost-deadline policy to one piece of valid work.
 fn disposition_for(ticket: Ticket, work: Work, policy: BatchPolicy) -> Disposition {
-    let estimated = work.estimated_cost_units();
-    match policy.cost_deadline {
-        Some(deadline) if estimated > deadline => {
-            let error = RequestError {
-                kind: ErrorKind::DeadlineExceeded,
-                message: format!(
-                    "estimated {estimated} cost units exceeds the {deadline}-unit deadline"
-                ),
-            };
-            Disposition::Shed(ticket, error)
-        }
-        _ => Disposition::Run(ticket, work),
+    match policy.admit(work.estimated_cost_units()) {
+        Ok(()) => Disposition::Run(ticket, work),
+        Err(error) => Disposition::Shed(ticket, error),
     }
 }
 

@@ -1,32 +1,37 @@
 //! Sharded scatter/gather serving: the memo cache's FNV shard scheme
-//! lifted to process level.
+//! lifted to the request level.
 //!
-//! A [`Router`] runs N engine-backed [`ReactorServer`] shards, each
-//! answering only its quantized-coordinate partition of any query's
-//! grid (see [`drone_explorer::shard_of`]), plus one thin front
-//! reactor speaking the ordinary wire protocol. A client query is
-//! **scattered** — one sub-query per shard, `shard: {index, count}`
-//! set, refinement stripped — and the per-shard answers are
-//! **gather-merged** back into a single reply.
+//! A [`Router`] owns N shard-local engines, each answering only its
+//! quantized-coordinate partition of any query's grid (see
+//! [`drone_explorer::shard_of`]), behind one front reactor speaking the
+//! ordinary wire protocol. A client query is **scattered** — one
+//! sub-query per shard, `shard: {index, count}` set, refinement
+//! stripped — as direct [`Explorer::try_run`] calls on the front's
+//! reactor thread, and the per-shard answers are **gather-merged** into
+//! a single reply. Each engine fans its own uncached points out over
+//! its executor, so the shards run one after another.
+//!
+//! Every sub-query passes the checks an engine front-end applies to a
+//! wire request, in the same order: [`Query::validate`] against the
+//! front's limits (`invalid_query`), then the cost deadline
+//! (`deadline_exceeded`); an evaluation panic becomes `internal_error`.
+//! The first failing shard, in shard order, fails the whole request.
 //!
 //! The merge is deliberately order-pinned so the reply is
 //! byte-deterministic in the shard count:
 //!
-//! * shard replies are read in shard-index order, and the first error
-//!   (in that order) is the one propagated — after the whole round is
-//!   drained, so a pooled connection never carries an unread reply
-//!   into the next query that checks the set out;
 //! * `evaluated`/`feasible`/`infeasible` are *sums* over shards, and
 //!   the shard grids partition the full grid exactly, so the sums are
 //!   shard-count invariant;
-//! * frontier members are deduplicated by quantized design coordinates
-//!   and re-reduced with [`drone_explorer::extract_frontier`] — the
-//!   union of per-shard frontiers always contains the global frontier,
-//!   and dominance is transitive, so the reduced set equals the
-//!   single-shard frontier whatever N was;
-//! * the final rendering sorts members by (flight time desc, weight
-//!   asc), exactly like `answer_to_json`, so the reply bytes match the
-//!   order a single engine would emit;
+//! * frontier members are taken in reply order shard by shard,
+//!   deduplicated by quantized design coordinates and re-reduced with
+//!   [`drone_explorer::extract_frontier`] — the union of per-shard
+//!   frontiers always contains the global frontier, and dominance is
+//!   transitive, so the reduced set equals the single-shard frontier
+//!   whatever N was;
+//! * the reply is encoded by [`protocol::encode_ok_reply`], which sorts
+//!   members by (flight time desc, weight asc) exactly as a single
+//!   engine's reply does;
 //! * the incumbent for refinement re-centring is the best of the shard
 //!   bests, ties broken by canonical grid order (cells position in the
 //!   query's cell list, then each axis ascending). An exact f64
@@ -38,39 +43,34 @@
 //! Refinement rounds are driven *by the router*: each round scatters
 //! the current ranges, gathers, picks the incumbent, and re-centres
 //! via `QueryRanges::refined_around` — the same recurrence the engine
-//! runs internally. Because every round is a fresh request to the
-//! shards, cross-round duplicate points are re-evaluated server-side
-//! (the engine's per-request `seen` dedup cannot span rounds), so the
-//! router's `evaluated` may exceed a single engine's for the same
-//! query; it is still exactly shard-count invariant, which is the
+//! runs internally. Because every round is a fresh sub-query, the
+//! engine's per-query `seen` dedup cannot span rounds, so a refined
+//! query's `feasible`/`infeasible` count cross-round revisits that a
+//! single engine counts once; `evaluated` and every other field agree,
+//! and all of them are exactly shard-count invariant, which is the
 //! property the benchmark artifact pins.
 
-use crate::protocol::{self, ErrorKind, Request, RequestBody, RequestError};
+use crate::protocol::{self, BatchPolicy, ErrorKind, Request, RequestBody, RequestError};
 use crate::reactor::{DrainStats, LineHandler, ReactorConfig, ReactorServer};
-use drone_dse::eval::{DesignQuery, OBJECTIVE_SENSES};
+use drone_dse::eval::{DesignEval, OBJECTIVE_SENSES};
 use drone_explorer::{
-    extract_frontier, CacheKey, Explorer, Objective, Query, QueryLimits, ShardSpec,
+    extract_frontier, CacheKey, Explorer, Query, QueryAnswer, QueryLimits, ShardSpec,
 };
 use drone_math::Sense;
 use drone_telemetry::{Counter, Json, Registry};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
-
-/// Read timeout on pooled shard streams: a wedged shard must not pin
-/// the front reactor thread (and every connection it owns) forever.
-/// The timeout surfaces as an IO error, which retires the set.
-const SHARD_READ_TIMEOUT: Duration = Duration::from_secs(30);
+use std::sync::Arc;
 
 /// Tuning knobs for [`Router::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Engine shards behind the front (≥ 1).
     pub shards: usize,
-    /// Reactor settings applied to the front and to every shard.
+    /// Reactor settings for the front. Its `limits` and
+    /// `cost_deadline` also apply to every scattered sub-query.
     pub reactor: ReactorConfig,
 }
 
@@ -83,62 +83,35 @@ impl Default for RouterConfig {
     }
 }
 
-/// What a completed router drain looked like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Threads joined across the front *and* every shard.
-    pub threads_joined: usize,
-    /// The shard-only portion of [`RouterStats::threads_joined`].
-    pub shard_threads_joined: usize,
-    /// Connections closed unserved during the drain. The router's own
-    /// pooled shard connections land here (they are open by design
-    /// when the shards drain), so this is bookkeeping, not an error
-    /// signal — and it stays out of deterministic benchmark artifacts.
-    pub abandoned_connections: usize,
-    /// True when every thread joined without panicking.
-    pub clean: bool,
-}
-
-/// A running scatter/gather deployment: N engine shards plus the
-/// routing front.
+/// A running scatter/gather deployment: N shard-local engines behind
+/// one routing front.
 pub struct Router {
-    front: Option<ReactorServer>,
-    shards: Vec<ReactorServer>,
-    pool: Arc<ShardPool>,
+    front: ReactorServer,
 }
 
 impl Router {
-    /// Starts `config.shards` engine shards (one fresh engine from
+    /// Builds `config.shards` engines (one fresh engine from
     /// `make_engine` each, so caches stay shard-local like the design
-    /// intends) and the routing front. All tiers register their
-    /// metrics in `registry` — the `serve.*` family aggregates across
-    /// shards, the `router.*` family counts front-door traffic.
+    /// intends) and starts the routing front, which counts its traffic
+    /// into the `router.*` family of `registry`.
     ///
     /// # Errors
     ///
-    /// Fails if any listener cannot bind, or on targets without the
+    /// Fails if the listener cannot bind, or on targets without the
     /// epoll shims (see [`crate::sys`]).
     pub fn start(
-        mut make_engine: impl FnMut() -> Explorer,
+        make_engine: impl FnMut() -> Explorer,
         config: RouterConfig,
         registry: &Registry,
     ) -> std::io::Result<Router> {
-        let shard_count = config.shards.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            shards.push(ReactorServer::start(
-                make_engine(),
-                config.reactor,
-                registry,
-            )?);
-        }
-        let pool = Arc::new(ShardPool {
-            addrs: shards.iter().map(ReactorServer::addr).collect(),
-            idle: Mutex::new(Vec::new()),
-        });
         let service = RouterService {
+            shards: std::iter::repeat_with(make_engine)
+                .take(config.shards.max(1))
+                .collect(),
             limits: config.reactor.limits,
-            pool: Arc::clone(&pool),
+            policy: BatchPolicy {
+                cost_deadline: config.reactor.cost_deadline,
+            },
             requests: registry.counter("router.requests"),
             errors: registry.counter("router.errors"),
             protocol_errors: registry.counter("router.errors.protocol"),
@@ -150,112 +123,26 @@ impl Router {
             config.reactor,
             Arc::new(AtomicUsize::new(0)),
         )?;
-        Ok(Router {
-            front: Some(front),
-            shards,
-            pool,
-        })
+        Ok(Router { front })
     }
 
     /// The front-door address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.front.as_ref().expect("front runs until drain").addr()
+        self.front.addr()
     }
 
-    /// Drains the front first (no new scatters), drops the pooled
-    /// shard connections, then drains every shard; joins every thread.
-    pub fn drain(mut self) -> RouterStats {
-        let front = self
-            .front
-            .take()
-            .map(ReactorServer::drain)
-            .unwrap_or(DrainStats {
-                threads_joined: 0,
-                abandoned_connections: 0,
-                clean: true,
-            });
-        self.pool.clear();
-        let mut shard_joined = 0usize;
-        let mut abandoned = front.abandoned_connections;
-        let mut clean = front.clean;
-        for shard in self.shards.drain(..) {
-            let stats = shard.drain();
-            shard_joined += stats.threads_joined;
-            abandoned += stats.abandoned_connections;
-            clean &= stats.clean;
-        }
-        RouterStats {
-            threads_joined: front.threads_joined + shard_joined,
-            shard_threads_joined: shard_joined,
-            abandoned_connections: abandoned,
-            clean,
-        }
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if self.front.is_some() || !self.shards.is_empty() {
-            let router = Router {
-                front: self.front.take(),
-                shards: std::mem::take(&mut self.shards),
-                pool: Arc::clone(&self.pool),
-            };
-            router.drain();
-        }
-    }
-}
-
-/// Persistent router→shard connections, checked out as full sets (one
-/// stream per shard) so a query's scatter and gather run on a
-/// consistent snapshot.
-struct ShardPool {
-    addrs: Vec<SocketAddr>,
-    idle: Mutex<Vec<Vec<BufReader<TcpStream>>>>,
-}
-
-impl ShardPool {
-    fn checkout(&self) -> std::io::Result<Vec<BufReader<TcpStream>>> {
-        if let Some(set) = self
-            .idle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-        {
-            return Ok(set);
-        }
-        self.addrs
-            .iter()
-            .map(|addr| {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(SHARD_READ_TIMEOUT))?;
-                Ok(BufReader::new(stream))
-            })
-            .collect()
-    }
-
-    /// Returns a healthy set; a set that saw an IO error is dropped by
-    /// the caller instead (the shard side just sees EOF).
-    fn checkin(&self, set: Vec<BufReader<TcpStream>>) {
-        self.idle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(set);
-    }
-
-    fn clear(&self) {
-        self.idle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+    /// Stops admitting, closes every connection and joins the front's
+    /// acceptor and reactor threads.
+    pub fn drain(self) -> DrainStats {
+        self.front.drain()
     }
 }
 
 /// The front-door [`LineHandler`]: parse, scatter, gather, merge.
 struct RouterService {
+    shards: Vec<Explorer>,
     limits: QueryLimits,
-    pool: Arc<ShardPool>,
+    policy: BatchPolicy,
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     protocol_errors: Arc<Counter>,
@@ -267,11 +154,25 @@ impl LineHandler for RouterService {
     fn handle_lines(&self, lines: &[String], out: &mut String) {
         for line in lines {
             self.requests.inc();
-            let reply = self.answer_line(line);
-            if reply.get("ok") != Some(&Json::Bool(true)) {
+            let start = out.len();
+            // Engine work runs on this reactor thread. `try_run`
+            // already turns evaluation panics into typed replies; this
+            // layer covers the router's own code, so a bug answers one
+            // line instead of killing the reactor and its connections.
+            let ok = catch_unwind(AssertUnwindSafe(|| self.answer_line(line, out))).unwrap_or_else(
+                |_| {
+                    out.truncate(start);
+                    let error = RequestError {
+                        kind: ErrorKind::Internal,
+                        message: "request processing panicked".into(),
+                    };
+                    protocol::error_reply(&Json::Null, &error).render_into(out);
+                    false
+                },
+            );
+            if !ok {
                 self.errors.inc();
             }
-            out.push_str(&reply.render());
             out.push('\n');
         }
     }
@@ -305,118 +206,160 @@ impl LineHandler for RouterService {
 }
 
 impl RouterService {
-    fn answer_line(&self, line: &str) -> Json {
-        let (id, query) = match protocol::parse_request_with_id(line, &self.limits) {
+    /// Appends the reply to one request line (no newline) and reports
+    /// whether it was `ok`.
+    fn answer_line(&self, line: &str, out: &mut String) -> bool {
+        let (id, result) = match protocol::parse_request_with_id(line, &self.limits) {
+            // The router partitions every query itself, so it cannot
+            // answer a client-chosen slice.
             Ok(Request {
                 id,
                 body: RequestBody::Query(query),
                 ..
-            }) => (id, query),
-            Ok(Request { id, .. }) => {
-                return protocol::error_reply(
-                    &id,
-                    &RequestError {
-                        kind: ErrorKind::BadRequest,
-                        message: "router serves query requests only".into(),
-                    },
-                )
-            }
-            Err((id, error)) => return protocol::error_reply(&id, &error),
+            }) if query.shard.is_some() => (
+                id,
+                Err(RequestError {
+                    kind: ErrorKind::InvalidQuery,
+                    message: "the router assigns shards; a routed query may not carry 'shard'"
+                        .into(),
+                }),
+            ),
+            Ok(Request {
+                id,
+                body: RequestBody::Query(query),
+                ..
+            }) => (id, self.scatter_gather(&query)),
+            Ok(Request { id, .. }) => (
+                id,
+                Err(RequestError {
+                    kind: ErrorKind::BadRequest,
+                    message: "router serves query requests only".into(),
+                }),
+            ),
+            Err((id, error)) => (id, Err(error)),
         };
-        let mut conns = match self.pool.checkout() {
-            Ok(conns) => conns,
-            Err(_) => return internal_reply(&id, "no shard connection available"),
-        };
-        match scatter_gather(&query, &mut conns) {
+        match result {
             Ok(answer) => {
-                self.pool.checkin(conns);
-                Json::obj()
-                    .with("id", id)
-                    .with("ok", true)
-                    .with("answer", answer)
+                protocol::encode_ok_reply(out, &id, &answer);
+                true
             }
-            Err(GatherError::Shard(error)) => {
-                // The failing round was drained in full before the
-                // error propagated, so the set holds no unread replies
-                // and is safe to reuse.
-                self.pool.checkin(conns);
-                protocol::error_reply(&id, &error)
+            Err(error) => {
+                protocol::error_reply(&id, &error).render_into(out);
+                false
             }
-            // The connection set is poisoned mid-conversation: drop it
-            // (the pool reconnects lazily) and fail this request only.
-            Err(GatherError::Io) => internal_reply(&id, "shard connection failed"),
         }
     }
-}
 
-fn internal_reply(id: &Json, message: &str) -> Json {
-    protocol::error_reply(
-        id,
-        &RequestError {
+    /// One shard's answer to one round's sub-query, through the same
+    /// checks an engine front-end runs on a wire request.
+    fn run_shard(&self, engine: &Explorer, sub: &Query) -> Result<QueryAnswer, RequestError> {
+        sub.validate(&self.limits).map_err(|e| RequestError {
+            kind: ErrorKind::InvalidQuery,
+            message: e.to_string(),
+        })?;
+        self.policy.admit(sub.estimated_cost_units())?;
+        engine.try_run(sub).map_err(|panic| RequestError {
             kind: ErrorKind::Internal,
-            message: message.into(),
-        },
-    )
-}
-
-enum GatherError {
-    /// A shard answered with a structured error; propagate the first
-    /// one in shard order.
-    Shard(RequestError),
-    /// The wire itself failed (or spoke garbage); the caller must
-    /// retire the connection set. The client sees a stable
-    /// `internal_error` message either way, so no detail is carried.
-    Io,
-}
-
-impl From<std::io::Error> for GatherError {
-    fn from(_: std::io::Error) -> GatherError {
-        GatherError::Io
+            message: panic.to_string(),
+        })
     }
-}
 
-/// One merged frontier/best candidate: the shard's wire rendering kept
-/// verbatim (so the merged reply re-emits identical bytes) plus the
-/// parsed fields the merge itself needs.
-struct Member {
-    doc: Json,
-    point: DesignQuery,
-    flight: f64,
-    weight: f64,
-    share: f64,
-}
-
-impl Member {
-    fn objective_value(&self, objective: Objective) -> f64 {
-        match objective {
-            Objective::MaxFlightTime => self.flight,
-            Objective::MinWeight => self.weight,
-            Objective::MinComputeShare => self.share,
+    /// Drives one client query through every round of scatter/gather
+    /// and returns the merged answer.
+    fn scatter_gather(&self, query: &Query) -> Result<QueryAnswer, RequestError> {
+        let count = self.shards.len() as u32;
+        // The same region goes to every shard, each restricted to its
+        // partition, refinement stripped (the router drives it).
+        let mut sub = Query {
+            name: query.name.clone(),
+            ranges: query.ranges.clone(),
+            constraints: query.constraints,
+            objective: query.objective,
+            refine_rounds: 0,
+            refine_steps: 0,
+            shard: None,
+        };
+        let mut evaluated = 0usize;
+        let mut feasible = 0usize;
+        let mut infeasible = 0usize;
+        let mut rounds = 0usize;
+        let mut seen: HashSet<CacheKey> = HashSet::new();
+        let mut members: Vec<DesignEval> = Vec::new();
+        let mut best: Option<DesignEval> = None;
+        for round in 0..=query.refine_rounds {
+            if round > 0 {
+                // Refinement needs an incumbent to centre on — the same
+                // early-out the engine takes, so `rounds` agrees.
+                let Some(incumbent) = &best else { break };
+                sub.ranges = query
+                    .ranges
+                    .refined_around(&incumbent.query, query.refine_steps);
+            }
+            // Merged in shard-index order.
+            for (index, engine) in self.shards.iter().enumerate() {
+                sub.shard = Some(ShardSpec {
+                    index: index as u32,
+                    count,
+                });
+                let answer = self.run_shard(engine, &sub)?;
+                evaluated += answer.evaluated;
+                feasible += answer.feasible;
+                infeasible += answer.infeasible;
+                for member in protocol::reply_order(&answer.frontier) {
+                    if seen.insert(CacheKey::quantize(&member.query)) {
+                        members.push(*member);
+                    }
+                }
+                if let Some(candidate) = answer.best {
+                    best = Some(match best {
+                        None => candidate,
+                        Some(current) => pick_best(current, candidate, query),
+                    });
+                }
+            }
+            rounds += 1;
         }
+        // Re-reduce the union of shard frontiers: dominance is transitive,
+        // so this equals the frontier a single shard would have produced.
+        let vectors: Vec<[f64; 3]> = members.iter().map(DesignEval::objectives).collect();
+        let frontier = extract_frontier(&vectors, &OBJECTIVE_SENSES)
+            .into_iter()
+            .map(|i| members[i])
+            .collect();
+        Ok(QueryAnswer {
+            name: query.name.clone(),
+            best,
+            frontier,
+            evaluated,
+            feasible,
+            infeasible,
+            rounds,
+        })
     }
+}
 
-    /// Canonical grid-order key: cells position in the query's cell
-    /// list, then each axis ascending — the order `QueryRanges::grid`
-    /// emits points in, which is how the engine breaks objective ties
-    /// ("earliest evaluation wins").
-    fn grid_key(&self, query: &Query) -> (usize, [f64; 5]) {
-        let cells_pos = query
-            .ranges
-            .cells
-            .iter()
-            .position(|&c| c == self.point.cells)
-            .unwrap_or(usize::MAX);
-        (
-            cells_pos,
-            [
-                self.point.wheelbase_mm,
-                self.point.capacity_mah,
-                self.point.compute_power_w,
-                self.point.twr,
-                self.point.payload_g,
-            ],
-        )
-    }
+/// Canonical grid-order key: cells position in the query's cell list,
+/// then each axis ascending — the order `QueryRanges::grid` emits
+/// points in, which is how the engine breaks objective ties ("earliest
+/// evaluation wins").
+fn grid_key(eval: &DesignEval, query: &Query) -> (usize, [f64; 5]) {
+    let point = &eval.query;
+    let cells_pos = query
+        .ranges
+        .cells
+        .iter()
+        .position(|&c| c == point.cells)
+        .unwrap_or(usize::MAX);
+    (
+        cells_pos,
+        [
+            point.wheelbase_mm,
+            point.capacity_mah,
+            point.compute_power_w,
+            point.twr,
+            point.payload_g,
+        ],
+    )
 }
 
 fn grid_key_lt(a: &(usize, [f64; 5]), b: &(usize, [f64; 5])) -> bool {
@@ -433,143 +376,15 @@ fn grid_key_lt(a: &(usize, [f64; 5]), b: &(usize, [f64; 5])) -> bool {
     false
 }
 
-/// Drives one client query through every round of scatter/gather and
-/// returns the merged `answer` object.
-fn scatter_gather(query: &Query, conns: &mut [BufReader<TcpStream>]) -> Result<Json, GatherError> {
-    let count = conns.len() as u32;
-    let mut ranges = query.ranges.clone();
-    let mut evaluated = 0usize;
-    let mut feasible = 0usize;
-    let mut infeasible = 0usize;
-    let mut rounds = 0usize;
-    let mut seen: HashSet<CacheKey> = HashSet::new();
-    let mut members: Vec<Member> = Vec::new();
-    let mut best: Option<Member> = None;
-    for round in 0..=query.refine_rounds {
-        if round > 0 {
-            // Refinement needs an incumbent to centre on — the same
-            // early-out the engine takes, so `rounds` agrees.
-            let Some(incumbent) = &best else { break };
-            ranges = query
-                .ranges
-                .refined_around(&incumbent.point, query.refine_steps);
-        }
-        // Scatter: the same region to every shard, each restricted to
-        // its partition, refinement stripped (the router drives it).
-        for (index, conn) in conns.iter_mut().enumerate() {
-            let sub = Query {
-                name: query.name.clone(),
-                ranges: ranges.clone(),
-                constraints: query.constraints,
-                objective: query.objective,
-                refine_rounds: 0,
-                refine_steps: 0,
-                shard: Some(ShardSpec {
-                    index: index as u32,
-                    count,
-                }),
-            };
-            let line = protocol::request_to_json(index as u64, &sub).render();
-            let stream = conn.get_mut();
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-        }
-        // Gather in shard-index order: replies stay attributable and
-        // the merge order (hence the reply bytes) is deterministic.
-        // Every scattered sub-query gets its reply read *even after a
-        // shard-level error* — returning early would strand unread
-        // replies on the pooled connections, to be misread as answers
-        // to whichever query checks the set out next.
-        let mut round_error: Option<RequestError> = None;
-        for (index, conn) in conns.iter_mut().enumerate() {
-            let mut line = String::new();
-            if conn.read_line(&mut line)? == 0 {
-                return Err(GatherError::Io);
-            }
-            let doc = Json::parse(line.trim_end()).map_err(|_| GatherError::Io)?;
-            // The scattered id was the shard index; anything else means
-            // the stream is desynchronized and the set must be retired.
-            if doc.get("id") != Some(&Json::Num(index as f64)) {
-                return Err(GatherError::Io);
-            }
-            if doc.get("ok") != Some(&Json::Bool(true)) {
-                if round_error.is_none() {
-                    round_error = Some(shard_error(&doc));
-                }
-                continue;
-            }
-            if round_error.is_some() {
-                continue; // drain-only: the round already failed
-            }
-            let answer = doc
-                .get("answer")
-                .ok_or_else(|| bad_shard_reply("missing answer"))?;
-            evaluated += count_field(answer, "evaluated")?;
-            feasible += count_field(answer, "feasible")?;
-            infeasible += count_field(answer, "infeasible")?;
-            for member_doc in answer
-                .get("frontier")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad_shard_reply("missing frontier"))?
-            {
-                let member = member_from_json(member_doc)?;
-                if seen.insert(CacheKey::quantize(&member.point)) {
-                    members.push(member);
-                }
-            }
-            match answer.get("best") {
-                Some(Json::Null) | None => {}
-                Some(best_doc) => {
-                    let candidate = member_from_json(best_doc)?;
-                    best = Some(match best.take() {
-                        None => candidate,
-                        Some(current) => pick_best(current, candidate, query),
-                    });
-                }
-            }
-        }
-        if let Some(error) = round_error {
-            return Err(GatherError::Shard(error));
-        }
-        rounds += 1;
-    }
-    // Re-reduce the union of shard frontiers: dominance is transitive,
-    // so this equals the frontier a single shard would have produced.
-    let vectors: Vec<[f64; 3]> = members
-        .iter()
-        .map(|m| [m.flight, m.weight, m.share])
-        .collect();
-    let keep = extract_frontier(&vectors, &OBJECTIVE_SENSES);
-    let mut frontier: Vec<&Member> = keep.iter().map(|&i| &members[i]).collect();
-    frontier.sort_by(|a, b| {
-        b.flight
-            .total_cmp(&a.flight)
-            .then(a.weight.total_cmp(&b.weight))
-    });
-    let mut frontier_json = Json::arr();
-    for member in &frontier {
-        frontier_json.push(member.doc.clone());
-    }
-    Ok(Json::obj()
-        .with("name", query.name.as_str())
-        .with("evaluated", evaluated)
-        .with("feasible", feasible)
-        .with("infeasible", infeasible)
-        .with("rounds", rounds)
-        .with("cost_units", evaluated)
-        .with("best", best.as_ref().map_or(Json::Null, |m| m.doc.clone()))
-        .with("frontier", frontier_json))
-}
-
 /// The better of two incumbents under the query objective, exact ties
 /// broken by canonical grid order (see the module docs).
-fn pick_best(current: Member, candidate: Member, query: &Query) -> Member {
+fn pick_best(current: DesignEval, candidate: DesignEval, query: &Query) -> DesignEval {
     let (cur, cand) = (
-        current.objective_value(query.objective),
-        candidate.objective_value(query.objective),
+        query.objective.value(&current),
+        query.objective.value(&candidate),
     );
     let candidate_wins = match query.objective.sense() {
-        _ if cur == cand => grid_key_lt(&candidate.grid_key(query), &current.grid_key(query)),
+        _ if cur == cand => grid_key_lt(&grid_key(&candidate, query), &grid_key(&current, query)),
         Sense::Maximize => cand > cur,
         Sense::Minimize => cand < cur,
     };
@@ -580,64 +395,6 @@ fn pick_best(current: Member, candidate: Member, query: &Query) -> Member {
     }
 }
 
-fn shard_error(doc: &Json) -> RequestError {
-    let error = doc.get("error");
-    let kind = error
-        .and_then(|e| e.get("kind"))
-        .and_then(Json::as_str)
-        .and_then(ErrorKind::from_wire)
-        .unwrap_or(ErrorKind::Internal);
-    let message = error
-        .and_then(|e| e.get("message"))
-        .and_then(Json::as_str)
-        .unwrap_or("shard error")
-        .to_owned();
-    RequestError { kind, message }
-}
-
-fn bad_shard_reply(_what: &str) -> GatherError {
-    GatherError::Io
-}
-
-fn count_field(answer: &Json, key: &str) -> Result<usize, GatherError> {
-    answer
-        .get(key)
-        .and_then(Json::as_f64)
-        .map(|n| n as usize)
-        .ok_or_else(|| bad_shard_reply(key))
-}
-
-fn num_field(doc: &Json, key: &str) -> Result<f64, GatherError> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad_shard_reply(key))
-}
-
-/// Parses one wire frontier/best member back into coordinates, keeping
-/// the original object for byte-exact re-rendering.
-fn member_from_json(doc: &Json) -> Result<Member, GatherError> {
-    let cells_doc = doc
-        .get("cells")
-        .ok_or_else(|| bad_shard_reply("member cells"))?;
-    let cells =
-        protocol::cell(cells_doc).map_err(|e| bad_shard_reply(&format!("member cells: {e}")))?;
-    let point = DesignQuery {
-        wheelbase_mm: num_field(doc, "wheelbase_mm")?,
-        cells,
-        capacity_mah: num_field(doc, "capacity_mah")?,
-        compute_power_w: num_field(doc, "compute_w")?,
-        twr: num_field(doc, "twr")?,
-        payload_g: num_field(doc, "payload_g")?,
-    };
-    Ok(Member {
-        point,
-        flight: num_field(doc, "flight_min")?,
-        weight: num_field(doc, "weight_g")?,
-        share: num_field(doc, "compute_share_hover")?,
-        doc: doc.clone(),
-    })
-}
-
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -645,7 +402,9 @@ fn member_from_json(doc: &Json) -> Result<Member, GatherError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drone_explorer::{GridRange, QueryRanges};
+    use drone_explorer::{GridRange, Objective, QueryRanges};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn ranges() -> QueryRanges {
         QueryRanges {
@@ -678,6 +437,42 @@ mod tests {
         };
         let router = Router::start(|| Explorer::new(2), config, &registry).expect("start router");
         (router, registry)
+    }
+
+    fn error_kind(doc: &Json) -> Option<&str> {
+        doc.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+    }
+
+    #[test]
+    fn objective_ties_go_to_the_grid_earlier_design_in_either_order() {
+        use drone_components::battery::CellCount::{S3, S6};
+        let query = Query::new("tie", ranges(), Objective::MaxFlightTime);
+        let design = |cells, wheelbase_mm| DesignEval {
+            query: drone_dse::eval::DesignQuery {
+                wheelbase_mm,
+                cells,
+                capacity_mah: 4000.0,
+                compute_power_w: 3.0,
+                twr: 2.0,
+                payload_g: 0.0,
+            },
+            weight_g: 800.0,
+            hover_power_w: 90.0,
+            maneuver_power_w: 120.0,
+            flight_time_min: 12.5,
+            compute_share_hover: 0.03,
+            compute_share_maneuver: 0.02,
+        };
+        // Cells position in the query's list decides before any axis...
+        let (early, late) = (design(S3, 450.0), design(S6, 250.0));
+        assert_eq!(pick_best(early, late, &query), early);
+        assert_eq!(pick_best(late, early, &query), early);
+        // ...then the axes, ascending.
+        let (early, late) = (design(S3, 250.0), design(S3, 350.0));
+        assert_eq!(pick_best(early, late, &query), early);
+        assert_eq!(pick_best(late, early, &query), early);
     }
 
     #[test]
@@ -728,16 +523,31 @@ mod tests {
         let doc = Json::parse(&reply).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("id"), Some(&Json::Num(4.0)));
-        assert_eq!(
-            doc.get("error").unwrap().get("kind"),
-            Some(&Json::Str("bad_request".into()))
-        );
+        assert_eq!(error_kind(&doc), Some("bad_request"));
         assert_eq!(registry.counter("router.errors").get(), 1);
         router.drain();
     }
 
     #[test]
-    fn a_shard_error_leaves_the_pooled_connections_reusable() {
+    fn a_client_shard_spec_is_refused_with_invalid_query() {
+        let (router, registry) = router(2);
+        let mut query = Query::new("slice", ranges(), Objective::MaxFlightTime).with_shard(0, 2);
+        query.refine_rounds = 0;
+        let reply = ask(
+            router.addr(),
+            &protocol::request_to_json(5, &query).render(),
+        );
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        assert_eq!(doc.get("id"), Some(&Json::Num(5.0)));
+        assert_eq!(error_kind(&doc), Some("invalid_query"));
+        assert_eq!(registry.counter("router.errors").get(), 1);
+        assert_eq!(registry.counter("router.requests").get(), 1);
+        assert!(router.drain().clean);
+    }
+
+    #[test]
+    fn a_shed_round_leaves_the_router_answering() {
         let registry = Registry::with_wall_clock();
         let config = RouterConfig {
             shards: 2,
@@ -747,21 +557,22 @@ mod tests {
             },
         };
         let router = Router::start(|| Explorer::new(2), config, &registry).expect("start router");
-        // 30-point sweep: over the 10-unit cost deadline, so every
-        // shard sheds with a structured error. Before the round was
-        // drained, shard 1's reply stayed buffered on the pooled set.
+        // 30-point sweep: over the 10-unit cost deadline, so the first
+        // shard's sub-query is shed with a structured error.
         let mut big = Query::new("big", ranges(), Objective::MaxFlightTime);
         big.refine_rounds = 0;
         let reply = ask(router.addr(), &protocol::request_to_json(1, &big).render());
         let doc = Json::parse(&reply).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("id"), Some(&Json::Num(1.0)));
+        assert_eq!(error_kind(&doc), Some("deadline_exceeded"));
         assert_eq!(
-            doc.get("error").unwrap().get("kind"),
-            Some(&Json::Str("deadline_exceeded".into()))
+            doc.get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str),
+            Some("estimated 30 cost units exceeds the 10-unit deadline")
         );
-        // A small query reusing the same connection set must get *its*
-        // answer, not a stale buffered reply from the shed round.
+        // A small query after the shed one must get *its* answer.
         let mut small_ranges = ranges();
         small_ranges.wheelbase_mm = GridRange::fixed(300.0);
         small_ranges.capacity_mah = GridRange::fixed(4000.0);
@@ -780,8 +591,8 @@ mod tests {
     #[test]
     fn shard_errors_propagate_with_the_client_id() {
         let (router, _registry) = router(2);
-        // An invalid query dies at the router's own parse (same limits
-        // as the shards), still echoing the id.
+        // An invalid query dies at the router's own parse, still
+        // echoing the id.
         let reply = ask(
             router.addr(),
             r#"{"id":9,"query":{"ranges":{"wheelbase_mm":{"min":450,"max":250,"steps":3},"cells":["3S"],"capacity_mah":2000},"objective":"max_flight_time"}}"#,
@@ -789,15 +600,13 @@ mod tests {
         let doc = Json::parse(&reply).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("id"), Some(&Json::Num(9.0)));
-        assert_eq!(
-            doc.get("error").unwrap().get("kind"),
-            Some(&Json::Str("invalid_query".into()))
-        );
+        assert_eq!(error_kind(&doc), Some("invalid_query"));
         let stats = router.drain();
         assert!(stats.clean);
         assert_eq!(
             stats.threads_joined,
-            stats.shard_threads_joined + RouterConfig::default().reactor.reactors + 1
+            RouterConfig::default().reactor.reactors + 1,
+            "the front's reactors plus its acceptor, and nothing else"
         );
     }
 }

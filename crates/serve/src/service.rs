@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The `serve.*` metric family. Every engine front-end in a process
-/// registers against the same names (the router's shards do), so the
-/// registry reports aggregates.
+/// registers against the same names, so the registry reports
+/// aggregates.
 struct Metrics {
     requests: Arc<Counter>,
     batches: Arc<Counter>,

@@ -550,6 +550,124 @@ mod reactor_props {
             prop_assert_eq!(one, four, "shard count changed the reply bytes");
         }
     }
+
+    /// The payload every poisoned design carries; workload lines pin
+    /// payload at 0, so only the poisoned line reaches the hook's panic.
+    const POISON_PAYLOAD_G: f64 = 777.0;
+
+    /// An engine whose evaluation panics on any poisoned design.
+    fn poisoned_engine() -> Explorer {
+        Explorer::new(1).with_eval_hook(std::sync::Arc::new(
+            |point: &drone_dse::eval::DesignQuery| {
+                if point.payload_g == POISON_PAYLOAD_G {
+                    panic!("poisoned design");
+                }
+            },
+        ))
+    }
+
+    /// `answer` with the two counts a refined routed query may report
+    /// differently (cross-round revisits) removed.
+    fn without_refined_counts(reply: &str) -> Json {
+        let doc = Json::parse(reply).unwrap();
+        let answer = doc.get("answer").expect("ok reply has an answer");
+        let mut kept = Json::obj();
+        for key in [
+            "name",
+            "evaluated",
+            "rounds",
+            "cost_units",
+            "best",
+            "frontier",
+        ] {
+            kept.insert(key, answer.get(key).cloned().unwrap_or(Json::Null));
+        }
+        kept
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The router against the pure batch handler, at 1–4 shards:
+        /// unrefined lines get byte-identical replies, refined ones
+        /// differ at most in `feasible`/`infeasible`, and a line whose
+        /// evaluation panics is answered `internal_error` with its id —
+        /// exactly as the batch handler answers it — while the lines
+        /// after it are served normally.
+        #[test]
+        fn router_replies_match_the_batch_handler_at_every_shard_count(
+            seed in any::<u64>(),
+            client in 0u64..16,
+            shards in 1usize..=4,
+            poison_at in 0usize..5,
+        ) {
+            let mut workload = Workload::new(seed, client);
+            let mut lines: Vec<String> = (0..4)
+                .map(|_| workload.next_request_line().trim_end().to_owned())
+                .collect();
+            let ranges = QueryRanges {
+                wheelbase_mm: GridRange::new(250.0, 450.0, 3),
+                cells: vec![CellCount::S3],
+                capacity_mah: GridRange::new(2000.0, 4000.0, 3),
+                compute_power_w: GridRange::fixed(3.0),
+                twr: GridRange::fixed(2.0),
+                payload_g: GridRange::fixed(POISON_PAYLOAD_G),
+            };
+            let poisoned =
+                Query::new("poisoned", ranges, Objective::MaxFlightTime).with_refinement(0, 0);
+            lines.insert(poison_at, request_to_json(99, &poisoned).render());
+
+            let line_refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+            let (expected, _) =
+                handle_batch(&poisoned_engine(), &line_refs, &QueryLimits::default());
+
+            let registry = Registry::with_wall_clock();
+            let config = RouterConfig {
+                shards,
+                reactor: ReactorConfig {
+                    reactors: 1,
+                    ..ReactorConfig::default()
+                },
+            };
+            let router = Router::start(poisoned_engine, config, &registry)
+                .expect("bind router");
+            let mut stream = TcpStream::connect(router.addr()).unwrap();
+            for line in &lines {
+                stream.write_all(line.as_bytes()).unwrap();
+                stream.write_all(b"\n").unwrap();
+            }
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let replies: Vec<String> = BufReader::new(stream)
+                .lines()
+                .map(|l| l.unwrap())
+                .collect();
+            prop_assert!(router.drain().clean);
+
+            prop_assert_eq!(replies.len(), lines.len());
+            for ((line, got), want) in lines.iter().zip(&replies).zip(&expected) {
+                let refined = parse_request(line, &QueryLimits::default())
+                    .unwrap()
+                    .query()
+                    .is_some_and(|q| q.refine_rounds > 0);
+                if refined {
+                    prop_assert_eq!(
+                        without_refined_counts(got),
+                        without_refined_counts(want),
+                        "{}", line
+                    );
+                } else {
+                    prop_assert_eq!(got, want, "{}", line);
+                }
+            }
+            let doc = Json::parse(&replies[poison_at]).unwrap();
+            prop_assert_eq!(doc.get("id"), Some(&Json::Num(99.0)));
+            prop_assert_eq!(
+                doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+                Some("internal_error")
+            );
+            prop_assert_eq!(registry.counter("router.errors").get(), 1);
+        }
+    }
 }
 
 /// Clients that open a connection, send nothing and hang up must not
